@@ -199,7 +199,7 @@ impl ChunkPayload {
     }
 }
 
-/// Reusable buffers for [`ChunkedArray::read_chunk_prefetched`]: one
+/// Reusable buffers for [`ChunkedArray::read_chunk_prefetched_at`]: one
 /// per prefetcher thread, so the pipeline's per-chunk page span, LOB
 /// byte, and decode allocations are paid once per query instead of
 /// once per chunk.
@@ -303,6 +303,64 @@ impl ChunkedArray {
         self.read_chunk_at(chunk_no, None)
     }
 
+    /// The chunk's decoded image when one exists without touching its
+    /// stored bytes: an empty object (materialized fresh, never
+    /// cached), a version pin resolved under `snap`, or a decoded-chunk
+    /// cache hit (counted as one). `None` means the bytes must be read
+    /// and decoded — every `read_chunk*_at` starts here, and the
+    /// prefetch pipeline asks up front so resident chunks never reach a
+    /// producer thread.
+    pub fn resident_chunk_at(
+        &self,
+        chunk_no: u64,
+        snap: Option<&ChunkSnapshot>,
+    ) -> Result<Option<Arc<Chunk>>> {
+        let id = LobId(chunk_no as u32);
+        if self.lobs.object_len(id)? == 0 {
+            return Ok(Some(Arc::new(self.empty_chunk())));
+        }
+        if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
+            return Ok(Some(pinned));
+        }
+        let Some(cache) = self.cache.as_deref() else {
+            return Ok(None);
+        };
+        let pool = self.lobs.pool();
+        let hit = cache.get_tracked(&self.chunk_key(id)?, pool.epoch(), pool.stats());
+        if hit.is_some() {
+            pool.stats().chunk_cache_hit();
+        }
+        Ok(hit)
+    }
+
+    /// The shared tail of the decoding reads: re-checks the version
+    /// table — a pin that appeared mid-read means the bytes may be torn
+    /// even though they parsed, so the pinned pre-image is served and
+    /// the suspect decode stays out of the shared cache — then
+    /// publishes the decode under the `epoch` sampled before the read.
+    fn publish_decoded(
+        &self,
+        chunk_no: u64,
+        snap: Option<&ChunkSnapshot>,
+        epoch: u64,
+        chunk: Chunk,
+    ) -> Result<Arc<Chunk>> {
+        if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
+            return Ok(pinned);
+        }
+        let chunk = Arc::new(chunk);
+        if let Some(cache) = self.cache.as_deref() {
+            let key = self.chunk_key(LobId(chunk_no as u32))?;
+            let evicted = cache.insert(key, epoch, chunk.clone(), chunk.decoded_bytes());
+            let stats = self.lobs.pool().stats();
+            stats.chunk_cache_miss();
+            if evicted > 0 {
+                stats.chunk_cache_evictions_add(evicted);
+            }
+        }
+        Ok(chunk)
+    }
+
     /// [`ChunkedArray::read_chunk`] against a [`ChunkSnapshot`]: chunks
     /// superseded by a commit newer than the snapshot resolve to their
     /// pinned pre-image, so a long scan over many chunks observes one
@@ -310,52 +368,21 @@ impl ChunkedArray {
     /// the current generation (in-flight unpublished writes are still
     /// shielded by their provisional pins).
     pub fn read_chunk_at(&self, chunk_no: u64, snap: Option<&ChunkSnapshot>) -> Result<Arc<Chunk>> {
-        let id = LobId(chunk_no as u32);
-        let vkey = self.version_key(chunk_no);
-        if self.lobs.object_len(id)? == 0 {
-            return Ok(Arc::new(self.empty_chunk()));
+        if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
+            return Ok(chunk);
         }
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(pinned);
-        }
-        let Some(cache) = self.cache.as_deref() else {
-            let bytes = self.lobs.read(id)?;
-            return match self.decode_chunk(&bytes) {
-                Ok(chunk) => Ok(self
-                    .resolve_version(vkey, snap)
-                    .unwrap_or_else(|| Arc::new(chunk))),
-                Err(e) => self.resolve_version(vkey, snap).ok_or(e),
-            };
-        };
-        let key = self.chunk_key(id)?;
-        let pool = self.lobs.pool();
-        let epoch = pool.epoch();
-        if let Some(hit) = cache.get_tracked(&key, epoch, pool.stats()) {
-            pool.stats().chunk_cache_hit();
-            return Ok(hit);
-        }
-        let bytes = self.lobs.read(id)?;
-        let chunk = match self.decode_chunk(&bytes) {
-            Ok(chunk) => Arc::new(chunk),
+        let epoch = self.lobs.pool().epoch();
+        let bytes = self.lobs.read(LobId(chunk_no as u32))?;
+        match self.decode_chunk(&bytes) {
+            Ok(chunk) => self.publish_decoded(chunk_no, snap, epoch, chunk),
             // A decode failure here can be a torn read racing an
             // in-place overwrite; the writer pinned the pre-image
             // before its first byte landed, so the version table
             // resolves it. No pin means real corruption.
-            Err(e) => return self.resolve_version(vkey, snap).ok_or(e),
-        };
-        // Re-check after decoding: if a writer pinned this chunk
-        // mid-read the bytes may be torn even though they parsed.
-        // Serve the pinned pre-image and keep the suspect decode out
-        // of the shared cache.
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(pinned);
+            Err(e) => self
+                .resolve_version(self.version_key(chunk_no), snap)
+                .ok_or(e),
         }
-        let evicted = cache.insert(key, epoch, chunk.clone(), chunk.decoded_bytes());
-        pool.stats().chunk_cache_miss();
-        if evicted > 0 {
-            pool.stats().chunk_cache_evictions_add(evicted);
-        }
-        Ok(chunk)
     }
 
     /// The chunk's logical version-pin key: array uid + chunk number.
@@ -380,7 +407,7 @@ impl ChunkedArray {
         }
     }
 
-    /// The prefetcher's edition of [`ChunkedArray::read_chunk`].
+    /// The prefetcher's edition of [`ChunkedArray::read_chunk_at`].
     ///
     /// Identical cache behaviour (lookup, publication, hit/miss
     /// counters), but a cache miss on a cold multi-page chunk is read
@@ -401,70 +428,39 @@ impl ChunkedArray {
     /// re-checked after the decode); a torn decode failure without a
     /// pin falls back to the pooled path, which page latches serialize
     /// against the writer.
-    pub fn read_chunk_prefetched(
-        &self,
-        chunk_no: u64,
-        scratch: &mut PrefetchScratch,
-    ) -> Result<Arc<Chunk>> {
-        self.read_chunk_prefetched_at(chunk_no, scratch, None)
-    }
-
-    /// [`ChunkedArray::read_chunk_prefetched`] against a
-    /// [`ChunkSnapshot`] (see [`ChunkedArray::read_chunk_at`] for the
-    /// snapshot rules).
+    ///
+    /// `snap` follows [`ChunkedArray::read_chunk_at`]'s snapshot rules.
     pub fn read_chunk_prefetched_at(
         &self,
         chunk_no: u64,
         scratch: &mut PrefetchScratch,
         snap: Option<&ChunkSnapshot>,
     ) -> Result<Arc<Chunk>> {
-        let id = LobId(chunk_no as u32);
-        if self.lobs.object_len(id)? == 0 {
-            return Ok(Arc::new(self.empty_chunk()));
-        }
-        let Some(cache) = self.cache.as_deref() else {
+        if self.cache.is_none() {
             return self.read_chunk_at(chunk_no, snap);
-        };
-        let vkey = self.version_key(chunk_no);
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(pinned);
         }
-        let key = self.chunk_key(id)?;
-        let pool = self.lobs.pool();
-        let epoch = pool.epoch();
-        if let Some(hit) = cache.get_tracked(&key, epoch, pool.stats()) {
-            pool.stats().chunk_cache_hit();
-            return Ok(hit);
+        if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
+            return Ok(chunk);
         }
+        let id = LobId(chunk_no as u32);
+        let epoch = self.lobs.pool().epoch();
         let bypassed = self
             .lobs
             .read_into_prefetch(id, &mut scratch.bytes, &mut scratch.span)?;
         let chunk = match self.decode_chunk_prefetched(&scratch.bytes, &mut scratch.raw) {
             Ok(chunk) => chunk,
             Err(e) => {
-                if let Some(pinned) = self.resolve_version(vkey, snap) {
+                if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
                     return Ok(pinned);
                 }
-                if bypassed {
-                    self.lobs.read_into(id, &mut scratch.bytes)?;
-                    self.decode_chunk(&scratch.bytes)?
-                } else {
+                if !bypassed {
                     return Err(e);
                 }
+                self.lobs.read_into(id, &mut scratch.bytes)?;
+                self.decode_chunk(&scratch.bytes)?
             }
         };
-        let chunk = Arc::new(chunk);
-        // Same post-decode re-check as `read_chunk_at`: a pin that
-        // appeared mid-read means the bytes are suspect.
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(pinned);
-        }
-        let evicted = cache.insert(key, epoch, chunk.clone(), chunk.decoded_bytes());
-        pool.stats().chunk_cache_miss();
-        if evicted > 0 {
-            pool.stats().chunk_cache_evictions_add(evicted);
-        }
-        Ok(chunk)
+        self.publish_decoded(chunk_no, snap, epoch, chunk)
     }
 
     /// The streaming edition of [`ChunkedArray::read_chunk_prefetched_at`]
@@ -491,31 +487,20 @@ impl ChunkedArray {
         scratch: &mut PrefetchScratch,
         snap: Option<&ChunkSnapshot>,
     ) -> Result<ChunkPayload> {
-        if self.format != ChunkFormat::DiffSeq {
+        if self.format != ChunkFormat::DiffSeq || self.cache.is_none() {
             return Ok(ChunkPayload::Chunk(
                 self.read_chunk_prefetched_at(chunk_no, scratch, snap)?,
             ));
         }
-        let id = LobId(chunk_no as u32);
-        if self.lobs.object_len(id)? == 0 {
-            return Ok(ChunkPayload::Chunk(Arc::new(self.empty_chunk())));
+        if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
+            return Ok(ChunkPayload::Chunk(chunk));
         }
-        let Some(cache) = self.cache.as_deref() else {
-            return Ok(ChunkPayload::Chunk(self.read_chunk_at(chunk_no, snap)?));
-        };
         let vkey = self.version_key(chunk_no);
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(ChunkPayload::Chunk(pinned));
-        }
-        let key = self.chunk_key(id)?;
-        let pool = self.lobs.pool();
-        if let Some(hit) = cache.get_tracked(&key, pool.epoch(), pool.stats()) {
-            pool.stats().chunk_cache_hit();
-            return Ok(ChunkPayload::Chunk(hit));
-        }
-        let bypassed = self
-            .lobs
-            .read_into_prefetch(id, &mut scratch.bytes, &mut scratch.span)?;
+        let bypassed = self.lobs.read_into_prefetch(
+            LobId(chunk_no as u32),
+            &mut scratch.bytes,
+            &mut scratch.span,
+        )?;
         if let Err(e) = diffseq::validate(&scratch.bytes, self.diffseq_limit()) {
             if let Some(pinned) = self.resolve_version(vkey, snap) {
                 return Ok(ChunkPayload::Chunk(pinned));
@@ -1363,7 +1348,7 @@ mod tests {
 
             let mut scratch = PrefetchScratch::default();
             let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             assert_eq!(got.valid_cells(), expect0.valid_cells());
             for x in (0..4096u32).step_by(3) {
                 assert_eq!(got.probe(x), Some(&[x as i64 * 7][..]), "{format:?}");
@@ -1373,7 +1358,7 @@ mod tests {
 
             // The decode was published: both read paths now hit.
             let before = p.stats().snapshot();
-            a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             a.read_chunk(0).unwrap();
             let d = p.stats().snapshot().since(&before);
             assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (0, 2));
@@ -1382,7 +1367,7 @@ mod tests {
             // read re-reads cold and still decodes correctly.
             p.clear().unwrap();
             let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched(0, &mut scratch).unwrap();
+            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             assert_eq!(got.valid_cells(), expect0.valid_cells());
             let d = p.stats().snapshot().since(&before);
             assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (1, 0));

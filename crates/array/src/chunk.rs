@@ -94,6 +94,13 @@ impl CompressedChunk {
         })
     }
 
+    /// Every entry's offset, ascending: the column batch kernels
+    /// decode, entry `i` pairing with [`CompressedChunk::values_at`].
+    #[inline]
+    pub fn offsets(&self) -> &[u32] {
+        &self.offsets
+    }
+
     /// Entry `i`'s offset (entries are offset-sorted).
     #[inline]
     pub fn offset_at(&self, i: usize) -> u32 {

@@ -59,7 +59,7 @@ pub use array::{ArrayBuilder, Chunk, ChunkFormat, ChunkPayload, ChunkedArray, Pr
 pub use cache::{shared_chunk_cache, ChunkCache, ChunkKey};
 pub use chunk::{ChunkBuilder, CompressedChunk, DenseChunk};
 pub use geometry::Shape;
-pub use prefetch::{ChunkPipeline, PrefetchConfig};
+pub use prefetch::ChunkPipeline;
 pub use version::{shared_version_table, ChunkSnapshot, VersionKey, VersionTable};
 
 /// Errors raised by array construction and access.

@@ -1,70 +1,55 @@
 //! Asynchronous chunk prefetch/decode pipeline.
 //!
-//! Cold consolidation used to serialize fault-in I/O and chunk decode on
-//! the consuming thread: every chunk paid `read → decode → aggregate` in
-//! lockstep. The candidate chunk list (full scan or §4.2 selection) is
-//! known up front and already in chunk order — which is disk order — so
-//! prefetcher threads can run ahead of the consumers: each claims the
-//! next chunk index, reads its pages (multi-page spans bypass the buffer
-//! pool via one vectored read, see `LobStore::read_into_prefetch`),
-//! decodes into an [`Arc<Chunk>`], publishes the decode through the
-//! shared [`ChunkCache`](crate::ChunkCache), and hands it to consumers
-//! through a bounded **in-order** delivery queue.
+//! The candidate chunk list of a scan (full, or a §4.2 selection) is
+//! known up front and in chunk order — which is disk order. Candidates
+//! that already have a decoded image are resolved when the pipeline is
+//! built ([`ChunkedArray::resident_chunk_at`]) and never leave the
+//! consumers' threads; a warm scan needs no producer at all. The misses
+//! go to prefetcher threads that run ahead of the consumers: each
+//! claims the next miss, reads its pages (multi-page spans bypass the
+//! buffer pool via one vectored read, see
+//! `LobStore::read_into_prefetch`), decodes into an [`Arc<Chunk>`],
+//! publishes the decode through the shared
+//! [`ChunkCache`](crate::ChunkCache), and hands it over through a
+//! bounded ring.
 //!
 //! Delivery is strictly in candidate order regardless of which producer
 //! finishes first, so consumers see exactly the sequential scan order
-//! and results are bit-identical to the unpipelined paths. The queue is
-//! bounded by `depth`: producers park on [`ChunkPipeline::shutdown`]'s
-//! `space` condvar when they are `depth` chunks ahead of delivery, which
-//! caps decoded-chunk memory at `depth × chunk size`.
+//! and results are bit-identical to the unpipelined paths. The ring has
+//! `depth` slots (miss `k` lands in slot `k % depth`): producers park
+//! when they are `depth` misses ahead of delivery, which caps
+//! produced-chunk memory at `depth × chunk size`, and are woken when
+//! the window is half drained, not per chunk.
 //!
 //! Lock discipline: the `delivery` mutex ranks between `catalog` and
 //! `chunks` (DESIGN.md §8). Producers drop it across the read+decode and
 //! nothing else is ever acquired while it is held.
 
-use std::collections::HashMap;
 use std::sync::Arc;
 
-use molap_storage::BufferPool;
 use parking_lot::{Condvar, Mutex};
 
 use crate::array::{Chunk, ChunkPayload, ChunkedArray, PrefetchScratch};
 use crate::version::ChunkSnapshot;
 use crate::Result;
 
-/// Tuning knobs for the prefetch pipeline.
-#[derive(Clone, Copy, Debug)]
-pub struct PrefetchConfig {
-    /// Number of prefetcher (read + decode) threads.
-    pub threads: usize,
-    /// Bound on undelivered decoded chunks (backpressure window).
-    pub depth: usize,
-}
-
-impl PrefetchConfig {
-    /// A config clamped to sane minimums (at least one thread, a
-    /// delivery window of at least one chunk).
-    pub fn new(threads: usize, depth: usize) -> Self {
-        PrefetchConfig {
-            threads: threads.max(1),
-            depth: depth.max(1),
-        }
-    }
-}
-
-impl Default for PrefetchConfig {
-    fn default() -> Self {
-        PrefetchConfig::new(2, 8)
-    }
-}
-
+#[derive(Default)]
 struct QueueState {
-    /// Next candidate index a producer will claim.
+    /// Next entry of `misses` a producer will claim.
     next_issue: usize,
     /// Next candidate index a consumer will receive.
     next_deliver: usize,
-    /// Decoded (or failed) payloads awaiting in-order delivery.
-    ready: HashMap<usize, Result<ChunkPayload>>,
+    /// Misses delivered so far: the next missing candidate is
+    /// `misses[delivered]`, its payload due in slot `delivered % depth`.
+    delivered: usize,
+    /// Produced (or failed) payloads awaiting in-order delivery, and
+    /// how many slots they occupy.
+    ring: Vec<Option<Result<ChunkPayload>>>,
+    queued: usize,
+    /// Threads parked on `space` / on `avail`: a condvar notify is a
+    /// system call, so neither is signalled with nobody there.
+    parked_producers: usize,
+    parked_consumers: usize,
     /// Set by [`ChunkPipeline::shutdown`]; producers and consumers exit.
     cancelled: bool,
 }
@@ -72,125 +57,127 @@ struct QueueState {
 /// A bounded, in-order chunk delivery queue shared by a set of producer
 /// (prefetcher) threads and consumer (aggregation) threads.
 ///
-/// The owner spawns producers that loop on [`ChunkPipeline::run_worker`]
-/// and consumers that loop on [`ChunkPipeline::next`]. When a consumer
-/// receives an `Err` it must call [`ChunkPipeline::shutdown`] and stop;
-/// producers keep publishing (errors included) until cancelled, so
-/// delivery always progresses and nobody parks forever.
-pub struct ChunkPipeline {
+/// The owner spawns up to [`ChunkPipeline::misses`] producers that loop
+/// on [`ChunkPipeline::run_worker`] and consumers that loop on
+/// [`ChunkPipeline::next_payload`]. When a consumer receives an `Err`
+/// it must call [`ChunkPipeline::shutdown`] and stop; producers keep
+/// publishing (errors included) until cancelled, so delivery always
+/// progresses and nobody parks forever.
+pub struct ChunkPipeline<'a> {
+    array: &'a ChunkedArray,
     /// Candidate chunk numbers, in chunk (= disk) order.
     candidates: Vec<u64>,
+    /// Per candidate, the decoded image it had when the pipeline was
+    /// built; `None` marks a miss, listed (by candidate index) in
+    /// `misses`.
+    resident: Vec<Option<Arc<Chunk>>>,
+    misses: Vec<usize>,
     depth: usize,
-    pool: Arc<BufferPool>,
-    /// Optional read snapshot: when set, every producer read resolves
-    /// through it, so the whole pipelined scan observes one commit
-    /// generation even while a writer publishes mid-scan.
+    /// When set, every read resolves through it, so the whole scan
+    /// observes one commit generation even while a writer publishes.
     snapshot: Option<ChunkSnapshot>,
-    /// When set, producers on DiffSeq arrays deliver validated encoded
-    /// bytes ([`ChunkPayload::DiffSeq`]) instead of decoded chunks, so
-    /// [`ChunkPipeline::next_payload`] consumers can stream gaps
-    /// straight into kernels. Other formats are unaffected.
+    /// Producers on DiffSeq arrays deliver validated encoded bytes
+    /// ([`ChunkedArray::read_chunk_stream_at`]) for consumers to stream
+    /// into kernels. Other formats are unaffected.
     streaming: bool,
     delivery: Mutex<QueueState>,
-    /// Signalled when a chunk is published (consumers wait here).
+    /// Signalled when the next chunk in order is published (consumers
+    /// wait here).
     avail: Condvar,
-    /// Signalled when a chunk is delivered (producers wait here).
+    /// Signalled when the window is half drained (producers wait here).
     space: Condvar,
 }
 
-impl ChunkPipeline {
-    /// Creates a pipeline over `candidates` (chunk numbers in chunk
-    /// order) delivering at most `depth` undelivered chunks at a time.
-    pub fn new(pool: Arc<BufferPool>, candidates: Vec<u64>, depth: usize) -> Self {
-        ChunkPipeline {
+impl<'a> ChunkPipeline<'a> {
+    /// Creates a pipeline over `candidates` (chunk numbers of `array`,
+    /// in chunk order) holding at most `depth` produced chunks.
+    ///
+    /// Resident candidates are resolved here, on the calling thread,
+    /// and scheduled for delivery as they are: each counts as
+    /// `prefetch_issued` now and `prefetch_hits` when a consumer
+    /// receives it, like a produced chunk, so `hits + wasted == issued`
+    /// keeps holding.
+    pub fn new(
+        array: &'a ChunkedArray,
+        candidates: Vec<u64>,
+        depth: usize,
+        snapshot: Option<ChunkSnapshot>,
+        streaming: bool,
+    ) -> Result<Self> {
+        let depth = depth.max(1);
+        let resident = candidates
+            .iter()
+            .map(|&chunk_no| array.resident_chunk_at(chunk_no, snapshot.as_ref()))
+            .collect::<Result<Vec<_>>>()?;
+        let misses: Vec<usize> = (0..resident.len())
+            .filter(|&i| resident[i].is_none())
+            .collect();
+        for _ in misses.len()..resident.len() {
+            array.pool().stats().prefetch_issue();
+        }
+        let ring = (0..depth).map(|_| None).collect();
+        Ok(ChunkPipeline {
+            array,
             candidates,
-            depth: depth.max(1),
-            pool,
-            snapshot: None,
-            streaming: false,
+            resident,
+            misses,
+            depth,
+            snapshot,
+            streaming,
             delivery: Mutex::new(QueueState {
-                next_issue: 0,
-                next_deliver: 0,
-                ready: HashMap::new(),
-                cancelled: false,
+                ring,
+                ..QueueState::default()
             }),
             avail: Condvar::new(),
             space: Condvar::new(),
-        }
+        })
     }
 
-    /// Attaches a read snapshot; producer reads then resolve every
-    /// chunk at the snapshot's commit generation.
-    pub fn with_snapshot(mut self, snapshot: Option<ChunkSnapshot>) -> Self {
-        self.snapshot = snapshot;
-        self
+    /// Candidates that need a producer; more producers than this would
+    /// find nothing to claim.
+    pub fn misses(&self) -> usize {
+        self.misses.len()
     }
 
-    /// Enables streaming delivery: producers on a DiffSeq array hand
-    /// consumers validated encoded bytes instead of decoded chunks
-    /// (see [`ChunkedArray::read_chunk_stream_at`]). A no-op for every
-    /// other format. [`ChunkPipeline::next`] still materializes, so
-    /// only [`ChunkPipeline::next_payload`] consumers observe the
-    /// difference.
-    pub fn with_streaming(mut self, streaming: bool) -> Self {
-        self.streaming = streaming;
-        self
-    }
-
-    /// Number of candidate chunks the pipeline will deliver.
-    pub fn len(&self) -> usize {
-        self.candidates.len()
-    }
-
-    /// True if there are no candidates.
-    pub fn is_empty(&self) -> bool {
-        self.candidates.is_empty()
-    }
-
-    /// Undelivered decoded chunks currently queued (test/diagnostic).
+    /// Produced chunks currently queued (test/diagnostic).
     pub fn queued(&self) -> usize {
-        self.delivery.lock().ready.len()
+        self.delivery.lock().queued
     }
 
-    /// Producer loop: claims candidate indices, reads + decodes them
-    /// via `array`, and publishes the results. Returns when the
-    /// candidate list is exhausted or the pipeline is cancelled. Run
-    /// one call per prefetcher thread; `array` must be the array the
-    /// candidate chunk numbers refer to.
-    pub fn run_worker(&self, array: &ChunkedArray) {
-        let stats = self.pool.stats();
+    /// Producer loop: claims misses in candidate order, reads + decodes
+    /// them, and publishes the results. Returns when every miss is
+    /// claimed or the pipeline is cancelled. Run one call per
+    /// prefetcher thread.
+    pub fn run_worker(&self) {
+        let stats = self.array.pool().stats();
         let mut scratch = PrefetchScratch::default();
         loop {
-            let index = {
+            let k = {
                 let mut q = self.delivery.lock();
                 loop {
-                    if q.cancelled || q.next_issue >= self.candidates.len() {
+                    if q.cancelled || q.next_issue >= self.misses.len() {
                         return;
                     }
-                    if q.next_issue - q.next_deliver < self.depth {
+                    if q.next_issue - q.delivered < self.depth {
                         break;
                     }
+                    q.parked_producers += 1;
                     self.space.wait(&mut q);
+                    q.parked_producers -= 1;
                 }
-                let i = q.next_issue;
                 q.next_issue += 1;
-                i
+                q.next_issue - 1
             };
             stats.prefetch_issue();
             // Read + decode/validate outside the delivery lock.
+            let chunk_no = self.candidates[self.misses[k]];
+            let snap = self.snapshot.as_ref();
             let result = if self.streaming {
-                array.read_chunk_stream_at(
-                    self.candidates[index],
-                    &mut scratch,
-                    self.snapshot.as_ref(),
-                )
+                self.array
+                    .read_chunk_stream_at(chunk_no, &mut scratch, snap)
             } else {
-                array
-                    .read_chunk_prefetched_at(
-                        self.candidates[index],
-                        &mut scratch,
-                        self.snapshot.as_ref(),
-                    )
+                self.array
+                    .read_chunk_prefetched_at(chunk_no, &mut scratch, snap)
                     .map(ChunkPayload::Chunk)
             };
             let mut q = self.delivery.lock();
@@ -198,9 +185,13 @@ impl ChunkPipeline {
                 stats.prefetch_wasted_add(1);
                 return;
             }
-            q.ready.insert(index, result);
-            stats.prefetch_queue_depth(q.ready.len() as u64);
-            self.avail.notify_all();
+            q.ring[k % self.depth] = Some(result);
+            q.queued += 1;
+            stats.prefetch_queue_depth(q.queued as u64);
+            // Consumers only ever wait for the head of the line.
+            if k == q.delivered && q.parked_consumers > 0 {
+                self.avail.notify_all();
+            }
         }
     }
 
@@ -208,52 +199,58 @@ impl ChunkPipeline {
     /// order** and returns it with its chunk number. Returns `None`
     /// when every candidate has been delivered or the pipeline was
     /// cancelled. On `Some(Err(_))` the caller must
-    /// [`ChunkPipeline::shutdown`] and propagate the error. Streaming
-    /// consumers use this; [`ChunkPipeline::next`] wraps it for
-    /// consumers that want materialized chunks.
+    /// [`ChunkPipeline::shutdown`] and propagate the error.
     pub fn next_payload(&self) -> Option<Result<(u64, ChunkPayload)>> {
         let mut q = self.delivery.lock();
-        loop {
+        let (index, result) = loop {
             if q.cancelled || q.next_deliver >= self.candidates.len() {
                 return None;
             }
             let index = q.next_deliver;
-            if let Some(result) = q.ready.remove(&index) {
-                q.next_deliver += 1;
-                self.space.notify_all();
-                if result.is_ok() {
-                    self.pool.stats().prefetch_hit();
-                }
-                return Some(result.map(|payload| (self.candidates[index], payload)));
+            if let Some(chunk) = &self.resident[index] {
+                break (index, Ok(ChunkPayload::Chunk(chunk.clone())));
             }
+            let slot = q.delivered % self.depth;
+            if let Some(result) = q.ring[slot].take() {
+                q.delivered += 1;
+                q.queued -= 1;
+                // Low watermark: parked producers sleep until half the
+                // window is free, then refill it in one burst.
+                if q.parked_producers > 0 && q.next_issue - q.delivered <= self.depth / 2 {
+                    self.space.notify_all();
+                }
+                break (index, result);
+            }
+            q.parked_consumers += 1;
             self.avail.wait(&mut q);
+            q.parked_consumers -= 1;
+        };
+        q.next_deliver += 1;
+        drop(q);
+        if result.is_ok() {
+            self.array.pool().stats().prefetch_hit();
         }
-    }
-
-    /// [`ChunkPipeline::next_payload`] materialized: any streamed
-    /// DiffSeq bytes are decoded (fast path) before delivery, so
-    /// non-streaming consumers keep receiving whole chunks.
-    pub fn next(&self) -> Option<Result<(u64, Arc<Chunk>)>> {
-        self.next_payload().map(|item| {
-            item.and_then(|(chunk_no, payload)| Ok((chunk_no, payload.into_chunk(u32::MAX)?)))
-        })
+        Some(result.map(|payload| (self.candidates[index], payload)))
     }
 
     /// Cancels the pipeline: producers stop claiming work, consumers
-    /// drain to `None`, and undelivered decodes are counted as
-    /// `prefetch_wasted`. Idempotent; call it on the error path *and*
-    /// after a successful drain (where it is a no-op beyond waking any
+    /// drain to `None`, and undelivered chunks — produced or resolved —
+    /// are counted as `prefetch_wasted`. Idempotent; call it on the
+    /// error path *and* after a successful drain (where it only wakes
     /// parked producers) before joining the producer threads.
     pub fn shutdown(&self) {
         let wasted = {
             let mut q = self.delivery.lock();
+            if q.cancelled {
+                return;
+            }
             q.cancelled = true;
-            let n = q.ready.len();
-            q.ready.clear();
-            n
+            q.ring.fill_with(|| None);
+            let undelivered = self.resident.get(q.next_deliver..).unwrap_or(&[]);
+            std::mem::take(&mut q.queued) + undelivered.iter().flatten().count()
         };
         if wasted > 0 {
-            self.pool.stats().prefetch_wasted_add(wasted as u64);
+            self.array.pool().stats().prefetch_wasted_add(wasted as u64);
         }
         self.avail.notify_all();
         self.space.notify_all();
@@ -264,7 +261,37 @@ impl ChunkPipeline {
 mod tests {
     use super::*;
     use crate::{ArrayBuilder, ChunkFormat, Shape};
-    use molap_storage::MemDisk;
+    use molap_storage::{BufferPool, DiskManager, MemDisk, PageBuf, PageId, StorageError};
+    use std::sync::atomic::{AtomicBool, Ordering};
+
+    /// A `MemDisk` whose reads fail while `armed`.
+    #[derive(Default)]
+    struct FailingDisk {
+        inner: MemDisk,
+        armed: AtomicBool,
+    }
+
+    impl DiskManager for FailingDisk {
+        fn read_page(&self, pid: PageId, buf: &mut PageBuf) -> molap_storage::Result<()> {
+            if self.armed.load(Ordering::Relaxed) {
+                let fault = std::io::Error::other("injected read fault");
+                return Err(StorageError::Io(fault));
+            }
+            self.inner.read_page(pid, buf)
+        }
+        fn write_page(&self, pid: PageId, buf: &PageBuf) -> molap_storage::Result<()> {
+            self.inner.write_page(pid, buf)
+        }
+        fn allocate_contiguous(&self, n: u64) -> molap_storage::Result<PageId> {
+            self.inner.allocate_contiguous(n)
+        }
+        fn num_pages(&self) -> u64 {
+            self.inner.num_pages()
+        }
+        fn sync(&self) -> molap_storage::Result<()> {
+            self.inner.sync()
+        }
+    }
 
     fn sample_array(pool: &Arc<BufferPool>, format: ChunkFormat) -> ChunkedArray {
         let shape = Shape::new(vec![16, 16], vec![4, 4]).unwrap();
@@ -279,6 +306,20 @@ mod tests {
         b.build(pool.clone()).unwrap()
     }
 
+    /// Drains `pipe` on the calling thread, checking every delivered
+    /// chunk against a direct read; returns the chunk numbers seen.
+    fn drain(pipe: &ChunkPipeline, a: &ChunkedArray) -> Vec<u64> {
+        let mut seen = Vec::new();
+        while let Some(item) = pipe.next_payload() {
+            let (chunk_no, payload) = item.unwrap();
+            let chunk = payload.into_chunk(u32::MAX).unwrap();
+            let expect = a.read_chunk(chunk_no).unwrap();
+            assert_eq!(chunk.valid_cells(), expect.valid_cells());
+            seen.push(chunk_no);
+        }
+        seen
+    }
+
     #[test]
     fn delivers_in_candidate_order_with_many_workers() {
         for format in [ChunkFormat::ChunkOffset, ChunkFormat::DenseLzw] {
@@ -289,19 +330,15 @@ mod tests {
             let depth = 3;
             pool.clear().unwrap();
             let before = pool.stats().snapshot();
-            let pipe = ChunkPipeline::new(pool.clone(), candidates.clone(), depth);
-            let mut seen = Vec::new();
-            std::thread::scope(|s| {
+            let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+            assert_eq!(pipe.misses(), n, "a cleared pool leaves nothing resident");
+            let seen = std::thread::scope(|s| {
                 for _ in 0..3 {
-                    s.spawn(|| pipe.run_worker(&a));
+                    s.spawn(|| pipe.run_worker());
                 }
-                while let Some(item) = pipe.next() {
-                    let (chunk_no, chunk) = item.unwrap();
-                    let expect = a.read_chunk(chunk_no).unwrap();
-                    assert_eq!(chunk.valid_cells(), expect.valid_cells());
-                    seen.push(chunk_no);
-                }
+                let seen = drain(&pipe, &a);
                 pipe.shutdown();
+                seen
             });
             assert_eq!(seen, candidates, "in-order delivery violated");
             let d = pool.stats().snapshot().since(&before);
@@ -317,16 +354,42 @@ mod tests {
     }
 
     #[test]
+    fn resident_chunks_are_delivered_without_a_producer() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
+        let a = sample_array(&pool, ChunkFormat::ChunkOffset);
+        let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
+        for &chunk_no in &candidates {
+            a.read_chunk(chunk_no).unwrap();
+        }
+        let before = pool.stats().snapshot();
+        let pipe = ChunkPipeline::new(&a, candidates.clone(), 2, None, false).unwrap();
+        assert_eq!(pipe.misses(), 0);
+        // No producer exists, so any hand-off would hang right here.
+        assert_eq!(drain(&pipe, &a), candidates);
+        pipe.shutdown();
+        let d = pool.stats().snapshot().since(&before);
+        assert_eq!(d.prefetch_issued, candidates.len() as u64);
+        assert_eq!(d.prefetch_hits, candidates.len() as u64);
+        assert_eq!((d.prefetch_wasted, d.prefetch_queue_peak), (0, 0));
+    }
+
+    #[test]
     fn cancellation_counts_undelivered_chunks_as_wasted() {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
         let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
+        // The last two chunks are resident: cancelled before delivery,
+        // they are wasted like any produced chunk.
+        for &chunk_no in &candidates[candidates.len() - 2..] {
+            a.read_chunk(chunk_no).unwrap();
+        }
+        let before = pool.stats().snapshot();
         let depth = 2;
-        let pipe = ChunkPipeline::new(pool.clone(), candidates, depth);
+        let pipe = ChunkPipeline::new(&a, candidates, depth, None, false).unwrap();
         std::thread::scope(|s| {
-            s.spawn(|| pipe.run_worker(&a));
+            s.spawn(|| pipe.run_worker());
             // Take one chunk, then let the producer refill the window.
-            assert!(pipe.next().unwrap().is_ok());
+            assert!(pipe.next_payload().unwrap().is_ok());
             for _ in 0..1000 {
                 if pipe.queued() == depth {
                     break;
@@ -336,19 +399,20 @@ mod tests {
             assert_eq!(pipe.queued(), depth, "producer never filled the window");
             pipe.shutdown();
             assert!(
-                pipe.next().is_none(),
+                pipe.next_payload().is_none(),
                 "cancelled pipeline must drain to None"
             );
         });
-        let s = pool.stats().snapshot();
+        let s = pool.stats().snapshot().since(&before);
         assert_eq!(s.prefetch_hits, 1);
-        // The two queued chunks are wasted; a third may have been
-        // claimed (issued) right as the window opened and wasted on
-        // its cancelled publish.
+        // The two queued and the two resident chunks are wasted; one
+        // more may have been claimed (issued) right as the window
+        // opened and wasted on its cancelled publish.
         assert!(
-            s.prefetch_wasted >= depth as u64,
-            "wasted {} < {depth}",
-            s.prefetch_wasted
+            s.prefetch_wasted >= depth as u64 + 2,
+            "wasted {} < {}",
+            s.prefetch_wasted,
+            depth + 2
         );
         assert_eq!(s.prefetch_issued, s.prefetch_hits + s.prefetch_wasted);
     }
@@ -357,11 +421,10 @@ mod tests {
     fn empty_candidate_list_is_a_no_op() {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
-        let pipe = ChunkPipeline::new(pool.clone(), Vec::new(), 4);
-        assert!(pipe.is_empty());
+        let pipe = ChunkPipeline::new(&a, Vec::new(), 4, None, false).unwrap();
         std::thread::scope(|s| {
-            s.spawn(|| pipe.run_worker(&a));
-            assert!(pipe.next().is_none());
+            s.spawn(|| pipe.run_worker());
+            assert!(pipe.next_payload().is_none());
             pipe.shutdown();
         });
         assert_eq!(pool.stats().snapshot().prefetch_issued, 0);
@@ -369,19 +432,109 @@ mod tests {
 
     #[test]
     fn backpressure_never_exceeds_depth_one() {
+        // At depth 1 the low watermark is 0: producers are woken only
+        // once the single slot is drained, and the bound still holds.
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
         let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
-        let pipe = ChunkPipeline::new(pool.clone(), candidates, 1);
+        pool.clear().unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates, 1, None, false).unwrap();
         std::thread::scope(|s| {
-            s.spawn(|| pipe.run_worker(&a));
-            s.spawn(|| pipe.run_worker(&a));
-            while let Some(item) = pipe.next() {
+            s.spawn(|| pipe.run_worker());
+            s.spawn(|| pipe.run_worker());
+            while let Some(item) = pipe.next_payload() {
                 item.unwrap();
                 assert!(pipe.queued() <= 1);
             }
             pipe.shutdown();
         });
         assert_eq!(pool.stats().snapshot().prefetch_queue_peak, 1);
+    }
+
+    #[test]
+    fn every_small_staffing_drains_without_hanging() {
+        // Liveness of the watermark wake-ups and the slot ring: depth
+        // 1–3 × 1–3 producers × 1–3 consumers, cold and with every
+        // other chunk resident. A lost wake-up shows as the timeout.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 256));
+            let a = sample_array(&pool, ChunkFormat::ChunkOffset);
+            let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
+            for (depth, producers, consumers, half_resident) in (1..=3usize)
+                .flat_map(|d| (1..=3usize).map(move |p| (d, p)))
+                .flat_map(|(d, p)| (1..=3usize).map(move |c| (d, p, c)))
+                .flat_map(|(d, p, c)| [false, true].map(|h| (d, p, c, h)))
+            {
+                pool.clear().unwrap();
+                if half_resident {
+                    for &chunk_no in candidates.iter().step_by(2) {
+                        a.read_chunk(chunk_no).unwrap();
+                    }
+                }
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+                let mut seen: Vec<u64> = std::thread::scope(|s| {
+                    for _ in 0..producers {
+                        s.spawn(|| pipe.run_worker());
+                    }
+                    let handles: Vec<_> = (0..consumers)
+                        .map(|_| s.spawn(|| drain(&pipe, &a)))
+                        .collect();
+                    let seen = handles
+                        .into_iter()
+                        .flat_map(|h| h.join().unwrap())
+                        .collect();
+                    pipe.shutdown();
+                    seen
+                });
+                seen.sort_unstable();
+                assert_eq!(
+                    seen, candidates,
+                    "depth {depth}, {producers}p/{consumers}c, half resident {half_resident}"
+                );
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(120))
+            .expect("a pipeline staffing hung or failed");
+    }
+
+    #[test]
+    fn a_producer_error_reaches_a_consumer_at_every_small_depth() {
+        // At depth 1–3 with 1–3 producers a failed read is published in
+        // its slot like any payload, wakes the waiting consumer, and
+        // the cancelled pipeline lets every producer return. A lost
+        // wake-up shows as the timeout.
+        let (done, finished) = std::sync::mpsc::channel();
+        std::thread::spawn(move || {
+            let disk = Arc::new(FailingDisk::default());
+            let pool = Arc::new(BufferPool::new(disk.clone(), 256));
+            let a = sample_array(&pool, ChunkFormat::ChunkOffset);
+            let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
+            for (depth, producers) in (1..=3).flat_map(|d| (1..=3).map(move |p| (d, p))) {
+                pool.clear().unwrap();
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+                disk.armed.store(true, Ordering::Relaxed);
+                let failed = std::thread::scope(|s| {
+                    for _ in 0..producers {
+                        s.spawn(|| pipe.run_worker());
+                    }
+                    let mut delivered = std::iter::from_fn(|| pipe.next_payload());
+                    let failed = delivered.any(|item| item.is_err());
+                    pipe.shutdown();
+                    failed
+                });
+                disk.armed.store(false, Ordering::Relaxed);
+                assert!(
+                    failed,
+                    "depth {depth}, {producers} producers: no error delivered"
+                );
+            }
+            done.send(()).unwrap();
+        });
+        finished
+            .recv_timeout(std::time::Duration::from_secs(60))
+            .expect("the failing pipeline hung or panicked");
     }
 }

@@ -132,68 +132,38 @@ pub(crate) fn make_cube(maps: &[GroupMap], n_measures: usize) -> ResultCube {
     ResultCube::new(dims, n_measures)
 }
 
-/// Prefetch-pipeline consumer for the §4.1 full scan: drains decoded
-/// chunks from `pipe` (shared with any number of peer consumers) and
-/// aggregates each through a per-chunk [`ChunkKernel`]. On a delivered
-/// error the pipeline is shut down and the error propagated.
+/// Prefetch-pipeline consumer for the §4.1 full scan: drains `pipe`
+/// (shared with any number of peer consumers) and aggregates each
+/// delivered chunk into `cube` through its [`ChunkKernel`]. A delivered
+/// error is returned as it is; the caller shuts the pipeline down.
+///
+/// [`ChunkKernel`]: crate::kernel::ChunkKernel
 pub(crate) fn full_scan_consumer(
     adt: &OlapArray,
-    maps: &[GroupMap],
-    pipe: &molap_array::ChunkPipeline,
-) -> Result<ResultCube> {
-    use crate::kernel::ChunkKernel;
+    remap: &crate::kernel::QueryRemap<'_>,
+    pipe: &molap_array::ChunkPipeline<'_>,
+    cube: &mut ResultCube,
+) -> Result<()> {
     use molap_array::diffseq::DiffSeqCursor;
     use molap_array::ChunkPayload;
-    let mut cube = make_cube(maps, adt.n_measures());
-    let shape = adt.array().shape();
-    let limit = shape.chunk_cells() as u32;
+    let limit = adt.array().shape().chunk_cells() as u32;
     while let Some(item) = pipe.next_payload() {
-        let (chunk_no, payload) = match item {
-            Ok(delivered) => delivered,
-            Err(e) => {
-                pipe.shutdown();
-                return Err(e.into());
-            }
-        };
+        let (chunk_no, payload) = item?;
         match payload {
             ChunkPayload::Chunk(chunk) => {
-                if chunk.valid_cells() == 0 {
-                    continue;
+                if chunk.valid_cells() != 0 {
+                    remap.kernel(chunk_no, None).apply(&chunk, cube);
                 }
-                let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, None);
-                kernel.apply(&chunk, &mut cube);
             }
-            // The streaming path: raw diff-seq bytes go gap-unpack →
-            // prefix-sum → kernel remap, never materializing a Chunk.
             ChunkPayload::DiffSeq(bytes) => {
-                let mut cursor = match DiffSeqCursor::new(&bytes, limit) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        pipe.shutdown();
-                        return Err(e.into());
-                    }
-                };
-                if cursor.is_empty() {
-                    continue;
-                }
-                let p = cursor.n_measures();
-                let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, None);
-                loop {
-                    match cursor.next_batch() {
-                        Ok(Some((offsets, values))) => {
-                            kernel.apply_batch(offsets, values, p, &mut cube);
-                        }
-                        Ok(None) => break,
-                        Err(e) => {
-                            pipe.shutdown();
-                            return Err(e.into());
-                        }
-                    }
+                let cursor = DiffSeqCursor::new(&bytes, limit)?;
+                if !cursor.is_empty() {
+                    remap.kernel(chunk_no, None).apply_stream(cursor, cube)?;
                 }
             }
         }
     }
-    Ok(cube)
+    Ok(())
 }
 
 /// The §4.1 algorithm: full consolidation, no selections.

@@ -23,6 +23,7 @@ use molap_array::{shared_version_table, ChunkPipeline};
 use crate::adt::OlapArray;
 use crate::consolidate::{full_scan_consumer, make_cube, phase1, BuildResultBtrees};
 use crate::error::{Error, Result};
+use crate::kernel::QueryRemap;
 use crate::query::Query;
 use crate::result::{ConsolidationResult, ResultCube};
 use crate::select::{build_probes, candidate_chunks, eval_chunk, selection_consumer, DimProbe};
@@ -78,11 +79,13 @@ impl PrefetchPlan {
 }
 
 /// Like [`OlapArray::consolidate`], but with the chunk read+decode work
-/// moved off the consumers onto a prefetch pipeline: `plan.prefetchers`
-/// producer threads fault pages (multi-page chunks via one vectored
-/// bypass read), decode, and publish through the shared chunk cache and
-/// a bounded in-order delivery queue; `workers` consumers drain it and
-/// aggregate with per-chunk kernels. Results are bit-identical to the
+/// moved off the consumers onto a prefetch pipeline: chunks that are
+/// already decoded stay on the consumers' threads, and up to
+/// `plan.prefetchers` producer threads fault the rest (multi-page
+/// chunks via one vectored bypass read), decode, and publish through
+/// the shared chunk cache and a bounded in-order delivery ring;
+/// `workers` consumers — the caller is the first — drain both and
+/// aggregate with chunk kernels. Results are bit-identical to the
 /// sequential paths for any worker/prefetcher count.
 pub fn consolidate_pipelined(
     adt: &OlapArray,
@@ -128,24 +131,41 @@ pub(crate) fn consolidate_pipelined_cube(
     // this generation, reading pinned pre-images where a writer has
     // since overwritten bytes in place.
     let snap = shared_version_table(adt.pool()).map(|vt| vt.begin_snapshot());
-    let pipe = ChunkPipeline::new(adt.pool().clone(), chunk_nos, plan.depth)
-        .with_snapshot(snap)
-        .with_streaming(plan.streaming);
-    let cubes = crossbeam::thread::scope(|scope| {
-        for _ in 0..plan.prefetchers {
-            scope.spawn(|_| pipe.run_worker(adt.array()));
+    // Building the pipeline resolves every candidate that already has a
+    // decoded image, right here on the calling thread; only the misses
+    // are left for producers.
+    let pipe = ChunkPipeline::new(adt.array(), chunk_nos, plan.depth, snap, plan.streaming)?;
+    let mut total = make_cube(&maps, adt.n_measures());
+    let remap = QueryRemap::new(shape, &maps, &total);
+    let consume = |cube: &mut ResultCube| {
+        let drained = match &selection {
+            Some((probes, candidates)) => {
+                selection_consumer(adt, &maps, &remap, probes, candidates, &pipe, cube)
+            }
+            None => full_scan_consumer(adt, &remap, &pipe, cube),
+        };
+        if drained.is_err() {
+            pipe.shutdown();
         }
-        let consumers: Vec<_> = (0..workers)
+        drained
+    };
+    // The calling thread is the first consumer and aggregates straight
+    // into `total`, so a one-worker scan over resident chunks spawns
+    // nothing at all.
+    let peers = crossbeam::thread::scope(|scope| {
+        for _ in 0..plan.prefetchers.min(pipe.misses()) {
+            scope.spawn(|_| pipe.run_worker());
+        }
+        let peers: Vec<_> = (1..workers)
             .map(|_| {
-                scope.spawn(|_| match &selection {
-                    Some((probes, candidates)) => {
-                        selection_consumer(adt, &maps, probes, candidates, &pipe)
-                    }
-                    None => full_scan_consumer(adt, &maps, &pipe),
+                scope.spawn(|_| {
+                    let mut cube = make_cube(&maps, adt.n_measures());
+                    consume(&mut cube).map(|()| cube)
                 })
             })
             .collect();
-        let cubes = consumers
+        let own = consume(&mut total);
+        let cubes = peers
             .into_iter()
             .map(|h| {
                 h.join()
@@ -155,16 +175,12 @@ pub(crate) fn consolidate_pipelined_cube(
         // Wake any parked prefetchers (error path, or producers waiting
         // on delivery-queue space) so the scope can join them.
         pipe.shutdown();
-        cubes
+        own.and(cubes)
     })
     .map_err(|_| Error::Internal("pipeline scope panicked".into()))??;
 
-    let mut iter = cubes.into_iter();
-    let mut total = iter
-        .next()
-        .unwrap_or_else(|| make_cube(&maps, adt.n_measures()));
-    for cube in iter {
-        total.merge(&cube)?;
+    for cube in &peers {
+        total.merge(cube)?;
     }
     Ok(total)
 }
@@ -522,6 +538,51 @@ mod tests {
                         consolidate_pipelined(&adt, &q, workers, plan.with_streaming(false))
                             .unwrap();
                     assert_eq!(materialized, sequential, "materialize {workers}w {q:?}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn mixed_residency_matches_oracle() {
+        // Every other chunk resident, the rest cold: resolved chunks
+        // and produced chunks interleave in one delivery order, at any
+        // staffing, on every codec and in both §4.2 directions — and
+        // each candidate is issued once and delivered once.
+        let full = Query::new(vec![DimGrouping::Level(0), DimGrouping::Level(0)]);
+        let scan_direction = full
+            .clone()
+            .with_selection(0, Selection::in_list(AttrRef::Level(0), vec![0, 2]));
+        let probe_direction = Query::new(vec![DimGrouping::Key, DimGrouping::Drop])
+            .with_selection(0, Selection::in_list(AttrRef::Key, vec![3, 17, 29]))
+            .with_selection(1, Selection::in_list(AttrRef::Key, vec![5, 11]));
+        for format in [
+            ChunkFormat::ChunkOffset,
+            ChunkFormat::DenseLzw,
+            ChunkFormat::DiffSeq,
+        ] {
+            let adt = build_fmt(300, format);
+            let pool = adt.pool().clone();
+            let shape = adt.array().shape();
+            for q in [&full, &scan_direction, &probe_direction] {
+                let sequential = adt.consolidate(q).unwrap();
+                let candidates = if q.has_selection() {
+                    candidate_chunks(shape, &build_probes(&adt, q).unwrap().0).len() as u64
+                } else {
+                    shape.num_chunks()
+                };
+                for workers in [1, 2, 4] {
+                    pool.clear().unwrap();
+                    for chunk_no in (0..shape.num_chunks()).step_by(2) {
+                        adt.array().read_chunk(chunk_no).unwrap();
+                    }
+                    let before = pool.stats().snapshot();
+                    let piped = consolidate_pipelined(&adt, q, workers, PrefetchPlan::new(2, 3));
+                    assert_eq!(piped.unwrap(), sequential, "{format:?} {workers}w {q:?}");
+                    let d = pool.stats().snapshot().since(&before);
+                    assert_eq!(d.prefetch_issued, candidates, "{format:?} {workers}w {q:?}");
+                    assert_eq!(d.prefetch_hits + d.prefetch_wasted, d.prefetch_issued);
+                    assert!(d.chunk_cache_hits > 0, "some candidate was resident");
                 }
             }
         }

@@ -263,14 +263,15 @@ impl ResultCube {
             + self.shape.len() * (std::mem::size_of::<u32>() + std::mem::size_of::<usize>())
     }
 
-    /// Finalizes into normalized rows, skipping empty groups (borrowing
-    /// variant of [`ResultCube::into_result`]).
-    pub fn to_result(&self, aggs: &[AggFunc]) -> Result<ConsolidationResult> {
-        self.clone().into_result(aggs)
-    }
-
     /// Finalizes into normalized rows, skipping empty groups.
     pub fn into_result(self, aggs: &[AggFunc]) -> Result<ConsolidationResult> {
+        self.to_result(aggs)
+    }
+
+    /// Finalizes into normalized rows, skipping empty groups, without
+    /// consuming (or copying) the cube — cached cubes are finalized in
+    /// place on every hit.
+    pub fn to_result(&self, aggs: &[AggFunc]) -> Result<ConsolidationResult> {
         if aggs.len() != self.n_measures {
             return Err(Error::Query(format!(
                 "{} aggregates for {} measures",
@@ -279,12 +280,12 @@ impl ResultCube {
             )));
         }
         let columns: Vec<String> = self.dims.iter().map(|d| d.column.clone()).collect();
-        let mut rows = Vec::new();
+        let groups = self.states.chunks(self.n_measures);
+        let mut rows = Vec::with_capacity(groups.clone().filter(|g| !g[0].is_empty()).count());
         let n = self.shape.len();
         let mut ranks = vec![0u32; n];
-        for cell in 0..self.num_cells() {
-            let base = cell * self.n_measures;
-            if self.states[base].is_empty() {
+        for (cell, group) in groups.enumerate() {
+            if group[0].is_empty() {
                 continue;
             }
             // Decode ranks from the linear index.
@@ -296,10 +297,7 @@ impl ResultCube {
             let keys: Vec<i64> = (0..n)
                 .map(|d| self.dims[d].codes[ranks[d] as usize])
                 .collect();
-            let values: Vec<AggValue> = self
-                .states
-                .get(base..base + self.n_measures)
-                .unwrap_or(&[])
+            let values = group
                 .iter()
                 .zip(aggs)
                 .map(|(s, &f)| {
@@ -309,9 +307,13 @@ impl ResultCube {
                 .collect::<Result<Vec<AggValue>>>()?;
             rows.push(Row { keys, values });
         }
-        // Linear order over sorted per-dim codes is already key order,
-        // but sort defensively so equality never depends on layout.
-        rows.sort_unstable_by(|a, b| a.keys.cmp(&b.keys));
+        // Linear order over strictly ascending per-dimension codes is
+        // key order; sort only a cube whose codes are not (equality
+        // must never depend on layout).
+        let ascending = |d: &GroupedDim| d.codes.windows(2).all(|w| w[0] < w[1]);
+        if !self.dims.iter().all(ascending) {
+            rows.sort_unstable_by(|a, b| a.keys.cmp(&b.keys));
+        }
         Ok(ConsolidationResult { columns, rows })
     }
 }
@@ -584,6 +586,29 @@ mod tests {
         );
         assert_eq!(r.rows()[0].keys, vec![1]);
         assert_eq!(r.rows()[1].keys, vec![3]);
+    }
+
+    #[test]
+    fn rows_are_in_key_order_even_when_the_codes_are_not() {
+        // Ascending codes skip the sort; a cube whose codes are laid
+        // out any other way must still finalize in key order, and a
+        // borrowed finalize must equal a consuming one.
+        let dim = |codes: Vec<i64>| GroupedDim {
+            dim: 0,
+            column: "k".into(),
+            codes,
+        };
+        for codes in [vec![1, 2, 3], vec![3, 1, 2]] {
+            let mut cube = ResultCube::new(vec![dim(codes.clone())], 1);
+            for rank in 0..3 {
+                cube.add(&[rank], &[codes[rank as usize] * 10]);
+            }
+            let rows = cube.to_result(&[AggFunc::Sum]).unwrap();
+            let keys: Vec<i64> = rows.rows().iter().map(|r| r.keys[0]).collect();
+            assert_eq!(keys, vec![1, 2, 3]);
+            assert_eq!(rows.rows()[2].values, vec![AggValue::Int(30)]);
+            assert_eq!(rows, cube.into_result(&[AggFunc::Sum]).unwrap());
+        }
     }
 
     #[test]

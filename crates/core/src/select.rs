@@ -347,33 +347,28 @@ pub(crate) fn chunk_membership(
 }
 
 /// Prefetch-pipeline consumer for the §4.2 selection path: drains
-/// decoded qualifying chunks from `pipe` and evaluates each in the
-/// adaptive direction — scan-direction chunks go through a per-chunk
+/// qualifying chunks from `pipe` and evaluates each into `cube` in the
+/// adaptive direction — scan-direction chunks go through their
 /// [`ChunkKernel`](crate::kernel::ChunkKernel) with the membership
-/// masks folded into its remap tables, probe-direction chunks through
-/// the §4.2 resumed binary probe.
+/// masks folded into its tables, probe-direction chunks through the
+/// §4.2 resumed binary probe. A delivered error is returned as it is;
+/// the caller shuts the pipeline down.
 pub(crate) fn selection_consumer(
     adt: &OlapArray,
     maps: &[GroupMap],
+    remap: &crate::kernel::QueryRemap<'_>,
     probes: &[DimProbe],
     candidates: &[(u64, Vec<usize>)],
-    pipe: &molap_array::ChunkPipeline,
-) -> Result<crate::result::ResultCube> {
-    use crate::kernel::ChunkKernel;
+    pipe: &molap_array::ChunkPipeline<'_>,
+    cube: &mut crate::result::ResultCube,
+) -> Result<()> {
     use molap_array::diffseq::DiffSeqCursor;
     use molap_array::ChunkPayload;
     let shape = adt.array().shape();
     let limit = shape.chunk_cells() as u32;
-    let mut cube = make_cube(maps, adt.n_measures());
     let mut ranks = vec![0u32; maps.len()];
     while let Some(item) = pipe.next_payload() {
-        let (chunk_no, payload) = match item {
-            Ok(delivered) => delivered,
-            Err(e) => {
-                pipe.shutdown();
-                return Err(e.into());
-            }
-        };
+        let (chunk_no, payload) = item?;
         // Candidates ascend in chunk number (odometer order), so the
         // delivered chunk's selection cursor is a binary search away.
         let ci = candidates.binary_search_by_key(&chunk_no, |c| c.0).ok();
@@ -385,64 +380,33 @@ pub(crate) fn selection_consumer(
         let cross: u64 = (0..probes.len())
             .map(|d| probes[d].groups[chunk_sel[d]].indices.len() as u64)
             .product();
-        match payload {
-            ChunkPayload::Chunk(chunk) => {
-                if chunk.valid_cells() == 0 {
-                    continue;
-                }
-                if cross > chunk.valid_cells() {
-                    let membership = chunk_membership(shape, probes, chunk_sel);
-                    let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, Some(&membership));
-                    kernel.apply(&chunk, &mut cube);
-                } else {
-                    probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
-                }
-            }
+        let masked = || remap.kernel(chunk_no, Some(&chunk_membership(shape, probes, chunk_sel)));
+        // Scan direction streams when it can; probe direction needs
+        // random access by offset — one of the paths that genuinely
+        // wants a Chunk.
+        let chunk = match payload {
+            ChunkPayload::Chunk(chunk) => chunk,
             ChunkPayload::DiffSeq(bytes) => {
-                let mut cursor = match DiffSeqCursor::new(&bytes, limit) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        pipe.shutdown();
-                        return Err(e.into());
+                let cursor = DiffSeqCursor::new(&bytes, limit)?;
+                if cross > cursor.len() as u64 {
+                    if !cursor.is_empty() {
+                        masked().apply_stream(cursor, cube)?;
                     }
-                };
-                if cursor.is_empty() {
                     continue;
                 }
-                if cross > cursor.len() as u64 {
-                    // Scan direction streams: membership masks fold
-                    // into the kernel tables, batches feed it directly.
-                    let p = cursor.n_measures();
-                    let membership = chunk_membership(shape, probes, chunk_sel);
-                    let kernel = ChunkKernel::new(shape, maps, &cube, chunk_no, Some(&membership));
-                    loop {
-                        match cursor.next_batch() {
-                            Ok(Some((offsets, values))) => {
-                                kernel.apply_batch(offsets, values, p, &mut cube);
-                            }
-                            Ok(None) => break,
-                            Err(e) => {
-                                pipe.shutdown();
-                                return Err(e.into());
-                            }
-                        }
-                    }
-                } else {
-                    // Probe direction needs random access by offset —
-                    // one of the paths that genuinely wants a Chunk.
-                    let chunk = match ChunkPayload::DiffSeq(bytes).into_chunk(limit) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            pipe.shutdown();
-                            return Err(e.into());
-                        }
-                    };
-                    probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, &mut cube);
-                }
+                ChunkPayload::DiffSeq(bytes).into_chunk(limit)?
             }
+        };
+        if chunk.valid_cells() == 0 {
+            continue;
+        }
+        if cross > chunk.valid_cells() {
+            masked().apply(&chunk, cube);
+        } else {
+            probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, cube);
         }
     }
-    Ok(cube)
+    Ok(())
 }
 
 /// Probes every cross-product element falling in `chunk`, aggregating

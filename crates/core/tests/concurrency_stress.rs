@@ -140,8 +140,26 @@ fn mixed_concurrent_consolidations_match_sequential() {
 /// whole write path (commit → catalog → generations → results →
 /// versions → LOB → pool) against the declared lock order while
 /// readers hold pool and cache locks concurrently.
+///
+/// Here the readers' chunks stay warm: after the first scan every
+/// chunk but the two a batch rewrites is resolved from the chunk cache
+/// before the pipeline starts, so a commit landing mid-scan meets
+/// resolved chunks, pinned pre-images and producer reads in one scan.
 #[test]
 fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
+    writer_vs_pipelined_readers(false);
+}
+
+/// The same race with the readers' chunks cold: every scan starts by
+/// clearing the pool (when no page is pinned), so the chunk cache's
+/// epoch moves, nothing is resident and every chunk goes through a
+/// producer's bypass read while the writer overwrites in place.
+#[test]
+fn writer_vs_cold_pipelined_readers_see_only_batch_boundaries() {
+    writer_vs_pipelined_readers(true);
+}
+
+fn writer_vs_pipelined_readers(cold: bool) {
     use molap_core::{consolidate_pipelined, AggValue, PrefetchPlan, WriteBatch};
     use std::sync::Barrier;
 
@@ -149,7 +167,7 @@ fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
     const READERS: usize = 4;
     const READS: usize = 25;
 
-    let path = temp_path("writer");
+    let path = temp_path(if cold { "writer-cold" } else { "writer" });
     let db = Arc::new(Database::create(&path, 1 << 20).unwrap());
     let dims = vec![
         DimensionTable::build(
@@ -224,6 +242,11 @@ fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
                 let adt = db.open_olap_array("wsales").unwrap();
                 barrier.wait();
                 for i in 0..READS {
+                    if cold {
+                        // Fails while a page is pinned; the next round
+                        // tries again.
+                        let _ = db.pool().clear();
+                    }
                     let got = if t % 2 == 0 {
                         consolidate_pipelined(&adt, &q, 2, PrefetchPlan::new(2, 4)).unwrap()
                     } else {

@@ -230,9 +230,11 @@ pub fn lint_sources_with(files: &[(String, String)], opts: &Options) -> LintRepo
 /// Walks `root` for `.rs` files (plus `DESIGN.md` for the doc-drift
 /// check) and lints them. Directories named `target`, `.git`, and
 /// `corpus` are skipped (the corpus is deliberately full of
-/// violations). A file whose first line is `//@ path: <virtual path>`
-/// is analyzed as if it lived at that path — that is how corpus
-/// snippets opt into path-scoped rules.
+/// violations), and so is a nested package that declares its own
+/// `[workspace]` (`benchmark/`): it is not part of this workspace and
+/// the workspace's conventions are not its contract. A file whose first
+/// line is `//@ path: <virtual path>` is analyzed as if it lived at
+/// that path — that is how corpus snippets opt into path-scoped rules.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Finding>> {
     Ok(lint_workspace_with(root, &Options::default())?.findings)
 }
@@ -270,6 +272,10 @@ fn collect(root: &Path, dir: &Path, out: &mut Vec<String>) -> io::Result<()> {
         let name = name.to_string_lossy();
         if path.is_dir() {
             if name == "target" || name == ".git" || name == "corpus" {
+                continue;
+            }
+            let manifest = std::fs::read_to_string(path.join("Cargo.toml")).unwrap_or_default();
+            if manifest.lines().any(|l| l.trim() == "[workspace]") {
                 continue;
             }
             collect(root, &path, out)?;

@@ -464,22 +464,30 @@ impl BufferPool {
 
     /// Flushes and drops every cached page, returning the pool to a cold
     /// state. Mirrors the paper's "flush the buffer pool before each
-    /// query" methodology. Fails if any page is still pinned. Bumps the
-    /// pool [`epoch`](BufferPool::epoch) so decoded-chunk caches go cold
-    /// too.
+    /// query" methodology. Fails, changing nothing, if any page is still
+    /// pinned or latched. Bumps the pool [`epoch`](BufferPool::epoch) so
+    /// decoded-chunk caches go cold too.
     pub fn clear(&self) -> Result<()> {
         let mut guards: Vec<_> = self.shards.iter().map(|shard| shard.state.lock()).collect();
+        // All or nothing: refusing after some frames were wiped would
+        // leave their page-table entries pointing at empty frames. So
+        // latch every frame before touching one — without blocking,
+        // because a reader holding one latch may be waiting for a shard
+        // lock held here.
+        let mut latched = Vec::with_capacity(self.frames.len());
         for frame in &self.frames {
-            if frame.pin.load(Ordering::Acquire) != 0 {
-                return Err(StorageError::PoolExhausted);
+            match frame.data.try_write() {
+                Some(fd) if frame.pin.load(Ordering::Acquire) == 0 => latched.push(fd),
+                _ => return Err(StorageError::PoolExhausted),
             }
-            let mut fd = frame.data.write();
-            if fd.dirty {
-                if let Some(pid) = fd.pid {
-                    // lint:allow(lock-io): clear() holds every shard lock by design so no fault can remap a frame mid-write-back
-                    self.write_back(pid, &fd.buf, true)?;
-                }
+        }
+        for fd in latched.iter().filter(|fd| fd.dirty) {
+            if let Some(pid) = fd.pid {
+                // lint:allow(lock-io): clear() holds every shard lock by design so no fault can remap a frame mid-write-back
+                self.write_back(pid, &fd.buf, true)?;
             }
+        }
+        for (frame, fd) in self.frames.iter().zip(&mut latched) {
             fd.pid = None;
             fd.dirty = false;
             frame.referenced.store(false, Ordering::Release);
@@ -931,10 +939,21 @@ mod tests {
     #[test]
     fn clear_fails_while_pinned() {
         let p = pool(2);
-        let pid = p.allocate_pages(1).unwrap();
-        drop(p.create_page(pid).unwrap());
-        let _guard = p.fetch(pid).unwrap();
-        assert!(p.clear().is_err());
+        let pid = p.allocate_pages(2).unwrap();
+        for i in 0..2 {
+            p.create_page(pid.offset(i)).unwrap()[0] = 0x40 + i as u8;
+        }
+        // Whichever frame the pinned page sits in, the other one is
+        // either before it or after it; a refused clear must leave both
+        // mapped and readable.
+        for pinned in 0..2 {
+            let guard = p.fetch(pid.offset(pinned)).unwrap();
+            assert!(p.clear().is_err());
+            drop(guard);
+            for i in 0..2 {
+                assert_eq!(p.fetch(pid.offset(i)).unwrap()[0], 0x40 + i as u8);
+            }
+        }
     }
 
     #[test]
