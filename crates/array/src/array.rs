@@ -199,10 +199,9 @@ impl ChunkPayload {
     }
 }
 
-/// Reusable buffers for [`ChunkedArray::read_chunk_prefetched_at`]: one
-/// per prefetcher thread, so the pipeline's per-chunk page span, LOB
-/// byte, and decode allocations are paid once per query instead of
-/// once per chunk.
+/// Reusable buffers for the chunk loader: one per prefetcher thread, so
+/// the pipeline's per-chunk page span, LOB byte, and decode allocations
+/// are paid once per query instead of once per chunk.
 #[derive(Default)]
 pub struct PrefetchScratch {
     /// Whole-page span target for bypass reads.
@@ -306,10 +305,10 @@ impl ChunkedArray {
     /// The chunk's decoded image when one exists without touching its
     /// stored bytes: an empty object (materialized fresh, never
     /// cached), a version pin resolved under `snap`, or a decoded-chunk
-    /// cache hit (counted as one). `None` means the bytes must be read
-    /// and decoded — every `read_chunk*_at` starts here, and the
-    /// prefetch pipeline asks up front so resident chunks never reach a
-    /// producer thread.
+    /// cache hit (counted as one unless a pin overrides it). `None`
+    /// means the bytes must be read and decoded — the chunk loader
+    /// starts here, and the prefetch pipeline asks up front so resident
+    /// chunks never reach a producer thread.
     pub fn resident_chunk_at(
         &self,
         chunk_no: u64,
@@ -319,46 +318,23 @@ impl ChunkedArray {
         if self.lobs.object_len(id)? == 0 {
             return Ok(Some(Arc::new(self.empty_chunk())));
         }
+        let pool = self.lobs.pool();
+        let hit = match self.cache.as_deref() {
+            Some(cache) => cache.get_tracked(&self.chunk_key(id)?, pool.epoch(), pool.stats()),
+            None => None,
+        };
+        // The pin is checked *after* the cache: a commit published
+        // since the snapshot may have put its image there (through a
+        // later reader), and then its pre-image is pinned for as long
+        // as the snapshot lives. Checked first, a commit landing
+        // between the two lookups would slip through.
         if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
             return Ok(Some(pinned));
         }
-        let Some(cache) = self.cache.as_deref() else {
-            return Ok(None);
-        };
-        let pool = self.lobs.pool();
-        let hit = cache.get_tracked(&self.chunk_key(id)?, pool.epoch(), pool.stats());
         if hit.is_some() {
             pool.stats().chunk_cache_hit();
         }
         Ok(hit)
-    }
-
-    /// The shared tail of the decoding reads: re-checks the version
-    /// table — a pin that appeared mid-read means the bytes may be torn
-    /// even though they parsed, so the pinned pre-image is served and
-    /// the suspect decode stays out of the shared cache — then
-    /// publishes the decode under the `epoch` sampled before the read.
-    fn publish_decoded(
-        &self,
-        chunk_no: u64,
-        snap: Option<&ChunkSnapshot>,
-        epoch: u64,
-        chunk: Chunk,
-    ) -> Result<Arc<Chunk>> {
-        if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
-            return Ok(pinned);
-        }
-        let chunk = Arc::new(chunk);
-        if let Some(cache) = self.cache.as_deref() {
-            let key = self.chunk_key(LobId(chunk_no as u32))?;
-            let evicted = cache.insert(key, epoch, chunk.clone(), chunk.decoded_bytes());
-            let stats = self.lobs.pool().stats();
-            stats.chunk_cache_miss();
-            if evicted > 0 {
-                stats.chunk_cache_evictions_add(evicted);
-            }
-        }
-        Ok(chunk)
     }
 
     /// [`ChunkedArray::read_chunk`] against a [`ChunkSnapshot`]: chunks
@@ -366,23 +342,137 @@ impl ChunkedArray {
     /// pinned pre-image, so a long scan over many chunks observes one
     /// consistent commit generation. With `None` the read is served at
     /// the current generation (in-flight unpublished writes are still
-    /// shielded by their provisional pins).
+    /// shielded by their provisional pins). The bytes come through the
+    /// buffer pool and are always decoded.
     pub fn read_chunk_at(&self, chunk_no: u64, snap: Option<&ChunkSnapshot>) -> Result<Arc<Chunk>> {
+        let mut scratch = PrefetchScratch::default();
+        self.load_chunk(chunk_no, &mut scratch, snap, false)?
+            .into_chunk(self.diffseq_limit())
+    }
+
+    /// The prefetch pipeline's read: same cache behaviour as
+    /// [`ChunkedArray::read_chunk_at`] (lookup, publication, hit/miss
+    /// counters), but a cold multi-page chunk is read with **one
+    /// vectored disk read that bypasses the buffer pool**
+    /// ([`LobStore::read_into_prefetch`]) instead of per-page fault
+    /// rounds, and a cache-missing DiffSeq chunk comes back as its
+    /// **validated encoded bytes** ([`ChunkPayload::DiffSeq`]) for the
+    /// consumer to stream through a `diffseq::DiffSeqCursor` — the scan
+    /// then never builds a chunk, and nothing is inserted into the
+    /// chunk cache, which stores decoded chunks only. `scratch` holds
+    /// the caller's reusable buffers so a prefetcher thread allocates
+    /// once, not per chunk.
+    pub fn read_chunk_stream_at(
+        &self,
+        chunk_no: u64,
+        scratch: &mut PrefetchScratch,
+        snap: Option<&ChunkSnapshot>,
+    ) -> Result<ChunkPayload> {
+        self.load_chunk(chunk_no, scratch, snap, true)
+    }
+
+    /// The one chunk loader and its torn-read ladder. With `bypass` the
+    /// bytes are read around the buffer pool where the LOB store allows
+    /// it and a DiffSeq chunk is validated and handed over encoded;
+    /// without it the read is pooled and every format is decoded.
+    ///
+    /// A bypass read holds no page latches, so it can race an in-place
+    /// overwrite issued through *another* handle of the same array
+    /// (writes on this handle take `&mut self` and cannot overlap). The
+    /// writer pins the pre-image in the pool's [`VersionTable`] before
+    /// its first byte lands, so every rung resolves through the pins:
+    ///
+    /// 1. sample the chunk's pin counter, then look for a resident image
+    ///    (empty object, chunk-cache hit, pin — the pin last, so a
+    ///    newer image in the cache cannot slip past it) — done;
+    /// 2. sample the pool epoch, then read the bytes;
+    /// 3. decode, or validate a chunk that stays encoded. On failure
+    ///    serve the pin if one appeared — the bytes were torn; with no
+    ///    pin, bytes that bypassed the pool are re-read once through
+    ///    the page latches that serialize against the writer and step 3
+    ///    repeats, and a pooled failure is real corruption;
+    /// 4. re-check the pin: one that appeared mid-read means the bytes
+    ///    may be torn even though they parsed, so the pre-image is
+    ///    served and the suspect decode stays out of the shared cache;
+    /// 5. publish a decoded chunk to the chunk cache under the epoch
+    ///    from step 2 — unless the pin counter moved since step 1: a
+    ///    writer may have pinned and dropped the cache entry after step
+    ///    4, and the decode must not come back behind it
+    ///    ([`VersionTable::pins_taken`]; the lookup still counts as a
+    ///    chunk-cache miss, which it was) — or hand the encoded bytes
+    ///    over.
+    fn load_chunk(
+        &self,
+        chunk_no: u64,
+        scratch: &mut PrefetchScratch,
+        snap: Option<&ChunkSnapshot>,
+        bypass: bool,
+    ) -> Result<ChunkPayload> {
+        let vkey = self.version_key(chunk_no);
+        let pins_taken = || self.versions.as_deref().map(|v| v.pins_taken(vkey));
+        let pins = pins_taken();
         if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
-            return Ok(chunk);
+            return Ok(ChunkPayload::Chunk(chunk));
         }
+        // Without the chunk cache nothing would keep a bypassed read's
+        // result, so the pool has to.
+        let bypass = bypass && self.cache.is_some();
+        let id = LobId(chunk_no as u32);
         let epoch = self.lobs.pool().epoch();
-        let bytes = self.lobs.read(LobId(chunk_no as u32))?;
-        match self.decode_chunk(&bytes) {
-            Ok(chunk) => self.publish_decoded(chunk_no, snap, epoch, chunk),
-            // A decode failure here can be a torn read racing an
-            // in-place overwrite; the writer pinned the pre-image
-            // before its first byte landed, so the version table
-            // resolves it. No pin means real corruption.
-            Err(e) => self
-                .resolve_version(self.version_key(chunk_no), snap)
-                .ok_or(e),
+        let mut bypassed = if bypass {
+            self.lobs
+                .read_into_prefetch(id, &mut scratch.bytes, &mut scratch.span)?
+        } else {
+            self.lobs.read_into(id, &mut scratch.bytes)?;
+            false
+        };
+        let keep_encoded = bypass && self.format == ChunkFormat::DiffSeq;
+        let decoded = loop {
+            let attempt = if keep_encoded {
+                diffseq::validate(&scratch.bytes, self.diffseq_limit()).map(|()| None)
+            } else {
+                self.decode_chunk(&scratch.bytes, &mut scratch.raw)
+                    .map(Some)
+            };
+            match attempt {
+                Ok(decoded) => break decoded,
+                Err(e) => {
+                    if let Some(pinned) = self.resolve_version(vkey, snap) {
+                        return Ok(ChunkPayload::Chunk(pinned));
+                    }
+                    if !bypassed {
+                        return Err(e);
+                    }
+                    self.lobs.read_into(id, &mut scratch.bytes)?;
+                    bypassed = false;
+                }
+            }
+        };
+        if let Some(pinned) = self.resolve_version(vkey, snap) {
+            return Ok(ChunkPayload::Chunk(pinned));
         }
+        let Some(chunk) = decoded else {
+            // Hand the scratch buffer itself to the payload instead of
+            // copying it; the next read grows a fresh (empty) scratch.
+            let bytes = std::mem::take(&mut scratch.bytes);
+            return Ok(ChunkPayload::DiffSeq(Arc::new(bytes)));
+        };
+        let chunk = Arc::new(chunk);
+        if let Some(cache) = self.cache.as_deref() {
+            let evicted = cache.insert(
+                self.chunk_key(id)?,
+                epoch,
+                chunk.clone(),
+                chunk.decoded_bytes(),
+                || pins_taken() == pins,
+            );
+            let stats = self.lobs.pool().stats();
+            stats.chunk_cache_miss();
+            if evicted > 0 {
+                stats.chunk_cache_evictions_add(evicted);
+            }
+        }
+        Ok(ChunkPayload::Chunk(chunk))
     }
 
     /// The chunk's logical version-pin key: array uid + chunk number.
@@ -407,123 +497,6 @@ impl ChunkedArray {
         }
     }
 
-    /// The prefetcher's edition of [`ChunkedArray::read_chunk_at`].
-    ///
-    /// Identical cache behaviour (lookup, publication, hit/miss
-    /// counters), but a cache miss on a cold multi-page chunk is read
-    /// with **one vectored disk read that bypasses the buffer pool**
-    /// ([`LobStore::read_into_prefetch`]) instead of per-page fault
-    /// rounds — the decoded chunk goes straight into the shared
-    /// [`ChunkCache`], which is the tier that actually serves repeat
-    /// reads of chunk bytes. `scratch` holds the caller's reusable
-    /// buffers (page span, LOB bytes, decode output) so a prefetcher
-    /// thread allocates once, not per chunk.
-    ///
-    /// The bypass read holds no page latches, so it can race an
-    /// in-place overwrite issued through *another* handle of the same
-    /// array (writes on this handle take `&mut self` and cannot
-    /// overlap). The writer pins the pre-image in the pool's
-    /// [`VersionTable`] before its first byte lands, so a racing read
-    /// resolves to that pinned image (checked before the read and
-    /// re-checked after the decode); a torn decode failure without a
-    /// pin falls back to the pooled path, which page latches serialize
-    /// against the writer.
-    ///
-    /// `snap` follows [`ChunkedArray::read_chunk_at`]'s snapshot rules.
-    pub fn read_chunk_prefetched_at(
-        &self,
-        chunk_no: u64,
-        scratch: &mut PrefetchScratch,
-        snap: Option<&ChunkSnapshot>,
-    ) -> Result<Arc<Chunk>> {
-        if self.cache.is_none() {
-            return self.read_chunk_at(chunk_no, snap);
-        }
-        if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
-            return Ok(chunk);
-        }
-        let id = LobId(chunk_no as u32);
-        let epoch = self.lobs.pool().epoch();
-        let bypassed = self
-            .lobs
-            .read_into_prefetch(id, &mut scratch.bytes, &mut scratch.span)?;
-        let chunk = match self.decode_chunk_prefetched(&scratch.bytes, &mut scratch.raw) {
-            Ok(chunk) => chunk,
-            Err(e) => {
-                if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
-                    return Ok(pinned);
-                }
-                if !bypassed {
-                    return Err(e);
-                }
-                self.lobs.read_into(id, &mut scratch.bytes)?;
-                self.decode_chunk(&scratch.bytes)?
-            }
-        };
-        self.publish_decoded(chunk_no, snap, epoch, chunk)
-    }
-
-    /// The streaming edition of [`ChunkedArray::read_chunk_prefetched_at`]
-    /// for difference-sequence arrays: instead of materializing a
-    /// [`Chunk`], a cache-missing DiffSeq chunk comes back as its
-    /// **validated encoded bytes** ([`ChunkPayload::DiffSeq`]) for the
-    /// consumer to stream through a `diffseq::DiffSeqCursor` — the scan
-    /// path then never builds a chunk. Everything that already has a
-    /// decoded image keeps it: empty chunks, version pins, snapshots,
-    /// and decoded-chunk cache hits return [`ChunkPayload::Chunk`], as
-    /// do all non-DiffSeq formats (full fallback to the prefetched
-    /// read). Streamed bytes are *not* inserted into the chunk cache —
-    /// the cache stores decoded chunks and stays fed by the
-    /// materializing paths.
-    ///
-    /// Torn-read handling mirrors the prefetched read: the bytes are
-    /// structurally validated (`diffseq::validate`) right here where
-    /// the fallback ladder lives — on failure the version pin is
-    /// re-checked and, if the read bypassed the pool, the chunk is
-    /// re-read through the page-latched pooled path.
-    pub fn read_chunk_stream_at(
-        &self,
-        chunk_no: u64,
-        scratch: &mut PrefetchScratch,
-        snap: Option<&ChunkSnapshot>,
-    ) -> Result<ChunkPayload> {
-        if self.format != ChunkFormat::DiffSeq || self.cache.is_none() {
-            return Ok(ChunkPayload::Chunk(
-                self.read_chunk_prefetched_at(chunk_no, scratch, snap)?,
-            ));
-        }
-        if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
-            return Ok(ChunkPayload::Chunk(chunk));
-        }
-        let vkey = self.version_key(chunk_no);
-        let bypassed = self.lobs.read_into_prefetch(
-            LobId(chunk_no as u32),
-            &mut scratch.bytes,
-            &mut scratch.span,
-        )?;
-        if let Err(e) = diffseq::validate(&scratch.bytes, self.diffseq_limit()) {
-            if let Some(pinned) = self.resolve_version(vkey, snap) {
-                return Ok(ChunkPayload::Chunk(pinned));
-            }
-            if bypassed {
-                // Possibly torn; the pooled path serializes against
-                // the writer's page latches and re-checks pins.
-                return Ok(ChunkPayload::Chunk(self.read_chunk_at(chunk_no, snap)?));
-            }
-            return Err(e);
-        }
-        // Same post-read re-check as the decoding paths: a pin that
-        // appeared mid-read means the bytes are suspect.
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
-            return Ok(ChunkPayload::Chunk(pinned));
-        }
-        // Hand the scratch buffer itself to the payload instead of
-        // copying it; the next read grows a fresh (empty) scratch.
-        Ok(ChunkPayload::DiffSeq(Arc::new(std::mem::take(
-            &mut scratch.bytes,
-        ))))
-    }
-
     /// The chunk's cache key: its current disk location.
     fn chunk_key(&self, id: LobId) -> Result<ChunkKey> {
         let (start_page, byte_off, len) = self.lobs.location(id)?;
@@ -540,28 +513,12 @@ impl ChunkedArray {
         self.shape.chunk_cells() as u32
     }
 
-    fn decode_chunk(&self, bytes: &[u8]) -> Result<Chunk> {
+    /// Decodes a chunk's stored bytes; `raw` is the caller's reusable
+    /// LZW expansion buffer.
+    fn decode_chunk(&self, bytes: &[u8], raw: &mut Vec<u8>) -> Result<Chunk> {
         match self.format {
             ChunkFormat::ChunkOffset => Ok(Chunk::Compressed(CompressedChunk::from_bytes(bytes)?)),
             ChunkFormat::Dense => Ok(Chunk::Dense(DenseChunk::from_bytes(bytes)?)),
-            ChunkFormat::DenseLzw => {
-                let raw = lzw::decompress(bytes)?;
-                Ok(Chunk::Dense(DenseChunk::from_bytes(&raw)?))
-            }
-            ChunkFormat::DiffSeq => Ok(Chunk::Compressed(diffseq::decompress(
-                bytes,
-                self.diffseq_limit(),
-            )?)),
-        }
-    }
-
-    /// [`Self::decode_chunk`] for the prefetch pipeline: identical
-    /// results, but LZW chunks use the span-based fast decompressor
-    /// with a reusable output buffer and DiffSeq chunks the streaming
-    /// block cursor (the sequential paths keep the chain-walk /
-    /// bit-by-bit decoders as their oracles).
-    fn decode_chunk_prefetched(&self, bytes: &[u8], raw: &mut Vec<u8>) -> Result<Chunk> {
-        match self.format {
             ChunkFormat::DenseLzw => {
                 lzw::decompress_fast_into(bytes, raw)?;
                 Ok(Chunk::Dense(DenseChunk::from_bytes(raw)?))
@@ -570,7 +527,6 @@ impl ChunkedArray {
                 bytes,
                 self.diffseq_limit(),
             )?)),
-            _ => self.decode_chunk(bytes),
         }
     }
 
@@ -1344,33 +1300,43 @@ mod tests {
             }
             let a = b.build(p.clone()).unwrap();
             let expect0 = a.read_chunk(0).unwrap();
-            p.clear().unwrap();
+            // DiffSeq stays encoded on the pipeline's entry point and
+            // so never reaches the chunk cache from there.
+            let streamed = format == ChunkFormat::DiffSeq;
+            let published = u64::from(!streamed);
 
             let mut scratch = PrefetchScratch::default();
-            let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
-            assert_eq!(got.valid_cells(), expect0.valid_cells());
-            for x in (0..4096u32).step_by(3) {
-                assert_eq!(got.probe(x), Some(&[x as i64 * 7][..]), "{format:?}");
+            for _ in 0..2 {
+                // Clearing the pool bumps the epoch: the read is cold.
+                p.clear().unwrap();
+                let before = p.stats().snapshot();
+                let payload = a.read_chunk_stream_at(0, &mut scratch, None).unwrap();
+                assert_eq!(
+                    matches!(payload, ChunkPayload::DiffSeq(_)),
+                    streamed,
+                    "{format:?}"
+                );
+                let got = payload.into_chunk(4096).unwrap();
+                assert_eq!(got.valid_cells(), expect0.valid_cells());
+                for x in (0..4096u32).step_by(3) {
+                    assert_eq!(got.probe(x), Some(&[x as i64 * 7][..]), "{format:?}");
+                }
+                let d = p.stats().snapshot().since(&before);
+                assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (published, 0));
             }
-            let d = p.stats().snapshot().since(&before);
-            assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (1, 0));
 
-            // The decode was published: both read paths now hit.
+            // A published decode serves both entry points; the pooled
+            // read publishes what a streamed chunk did not.
             let before = p.stats().snapshot();
-            a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
             a.read_chunk(0).unwrap();
+            let again = a.read_chunk_stream_at(0, &mut scratch, None).unwrap();
+            assert!(matches!(again, ChunkPayload::Chunk(_)), "{format:?}");
             let d = p.stats().snapshot().since(&before);
-            assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (0, 2));
-
-            // Clearing the pool bumps the epoch; the next prefetched
-            // read re-reads cold and still decodes correctly.
-            p.clear().unwrap();
-            let before = p.stats().snapshot();
-            let got = a.read_chunk_prefetched_at(0, &mut scratch, None).unwrap();
-            assert_eq!(got.valid_cells(), expect0.valid_cells());
-            let d = p.stats().snapshot().since(&before);
-            assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (1, 0));
+            assert_eq!(
+                (d.chunk_cache_misses, d.chunk_cache_hits),
+                (1 - published, 1 + published),
+                "{format:?}"
+            );
         }
     }
 
@@ -1423,7 +1389,8 @@ mod tests {
             assert_eq!(via_snap.probe(offset + 1), None);
             let mut scratch = PrefetchScratch::default();
             let via_prefetch = reader
-                .read_chunk_prefetched_at(chunk_no, &mut scratch, Some(&snap))
+                .read_chunk_stream_at(chunk_no, &mut scratch, Some(&snap))
+                .and_then(|payload| payload.into_chunk(u32::MAX))
                 .unwrap();
             assert_eq!(via_prefetch.probe(offset), Some(&old[..]));
             if format == ChunkFormat::Dense {
@@ -1437,6 +1404,54 @@ mod tests {
             drop(snap);
             assert_eq!(vt.pinned_versions(), 0);
         }
+    }
+
+    #[test]
+    fn a_decode_from_before_a_pin_is_not_published_behind_it() {
+        // The loader's last step when a writer pins between the
+        // reader's final pin check and its cache insert: the insert is
+        // conditional on the pin counter sampled before the read.
+        let mut a = build_sample(ChunkFormat::Dense);
+        let vt = shared_version_table(a.pool()).unwrap();
+        let cache = shared_chunk_cache(a.pool()).unwrap();
+        let (chunk_no, offset) = a.shape().locate(&[0, 0, 0]).unwrap();
+        let key = a.chunk_key(LobId(chunk_no as u32)).unwrap();
+        let vkey = a.version_key(chunk_no);
+        let epoch = a.pool().epoch();
+
+        // A second reader looks mid-pin, from inside the writer's
+        // `pin_provisional`: what it can see without the table's lock.
+        let mid_pin = Arc::new(parking_lot::Mutex::new(None));
+        let seen = mid_pin.clone();
+        let hook = move |vt: &VersionTable| {
+            *seen.lock() = Some((vt.pins_taken(vkey), vt.pin_visible_lock_free()));
+        };
+        assert!(vt.mid_pin.set(Box::new(hook)).is_ok());
+
+        let sampled = vt.pins_taken(vkey);
+        let stale = a.read_chunk(chunk_no).unwrap();
+        // The writer pins, drops the cached decode, overwrites in place.
+        a.apply_chunk_writes(chunk_no, &[(offset, vec![4242])])
+            .unwrap();
+        assert!(cache.get(&key, epoch).is_none());
+        let unwritten = || vt.pins_taken(vkey) == sampled;
+        cache.insert(key, epoch, stale.clone(), stale.decoded_bytes(), unwritten);
+        assert!(
+            cache.get(&key, epoch).is_none(),
+            "a pre-write image came back behind the pin"
+        );
+        // The reader that sampled the counter mid-pin: either its
+        // sample is already invalid by the time the writer removes the
+        // cache entry, or the pin was visible to its lock-free check —
+        // never a current sample with the pin still hidden.
+        let (mid_sample, pin_visible) = (*mid_pin.lock()).expect("the pin ran the hook");
+        assert!(
+            pin_visible || mid_sample != vt.pins_taken(vkey),
+            "a sample taken mid-pin survives the pin without having seen it"
+        );
+        a.publish_writes();
+        let now = a.read_chunk(chunk_no).unwrap();
+        assert_eq!(now.probe(offset), Some(&[4242i64][..]));
     }
 
     #[test]

@@ -338,15 +338,6 @@ impl ChunkCache {
         })
     }
 
-    /// [`ChunkCache::get`] forced down the shard-mutex path with the
-    /// optimistic probe skipped — the pre-optimistic protocol, kept
-    /// callable so the contention microbench and oracle tests can
-    /// compare the two lookup paths on the same cache.
-    #[doc(hidden)]
-    pub fn get_via_mutex(&self, key: &ChunkKey, epoch: u64) -> Option<Arc<Chunk>> {
-        self.get_locked(self.shard(key), key, epoch)
-    }
-
     /// The mutex path: authoritative lookup, eager stale-entry drop,
     /// and the only server of overflow (unmirrored) entries.
     fn get_locked(&self, shard: &CacheShard, key: &ChunkKey, epoch: u64) -> Option<Arc<Chunk>> {
@@ -367,13 +358,29 @@ impl ChunkCache {
     /// Inserts a decoded chunk of `bytes` decoded footprint, evicting
     /// as needed; returns how many entries were evicted. Chunks larger
     /// than a whole shard's budget are not cached.
-    pub fn insert(&self, key: ChunkKey, epoch: u64, chunk: Arc<Chunk>, bytes: usize) -> u64 {
+    ///
+    /// `still_current` is asked under the shard lock, the one
+    /// [`ChunkCache::remove`] takes: when it answers no, nothing is
+    /// inserted. A writer that invalidates the condition and *then*
+    /// removes the key therefore never leaves a pre-write image behind
+    /// (see `VersionTable::pins_taken`).
+    pub fn insert(
+        &self,
+        key: ChunkKey,
+        epoch: u64,
+        chunk: Arc<Chunk>,
+        bytes: usize,
+        still_current: impl FnOnce() -> bool,
+    ) -> u64 {
         if bytes == 0 || bytes > self.shard_capacity {
             return 0;
         }
         let mut evicted = 0u64;
         let shard = self.shard(&key);
         let mut m = shard.chunks.lock();
+        if !still_current() {
+            return 0;
+        }
         shard.remove_chunk_entry(&mut m, &key); // replace any stale entry under the same key
         while m.bytes + bytes > self.shard_capacity {
             if !shard.evict_one_chunk(&mut m) {
@@ -461,7 +468,7 @@ mod tests {
         let cache = ChunkCache::new(1 << 20);
         let (c, bytes) = chunk(10);
         assert!(cache.get(&key(1), 0).is_none());
-        cache.insert(key(1), 0, c, bytes);
+        cache.insert(key(1), 0, c, bytes, || true);
         assert_eq!(cache.get(&key(1), 0).unwrap().valid_cells(), 10);
         cache.remove(&key(1));
         assert!(cache.get(&key(1), 0).is_none());
@@ -472,7 +479,7 @@ mod tests {
     fn epoch_mismatch_reads_cold() {
         let cache = ChunkCache::new(1 << 20);
         let (c, bytes) = chunk(10);
-        cache.insert(key(1), 0, c, bytes);
+        cache.insert(key(1), 0, c, bytes, || true);
         assert!(cache.get(&key(1), 1).is_none(), "cleared pool = cold");
         assert!(
             cache.get(&key(1), 0).is_none(),
@@ -488,7 +495,7 @@ mod tests {
         let cache = ChunkCache::new(bytes * 3 * CACHE_SHARDS);
         let mut evictions = 0;
         for n in 0..200 {
-            evictions += cache.insert(key(n), 0, c.clone(), bytes);
+            evictions += cache.insert(key(n), 0, c.clone(), bytes, || true);
         }
         assert!(evictions > 0, "inserting 200 chunks must evict");
         assert!(
@@ -503,7 +510,7 @@ mod tests {
     fn zero_capacity_disables_caching() {
         let cache = ChunkCache::new(0);
         let (c, bytes) = chunk(10);
-        cache.insert(key(1), 0, c, bytes);
+        cache.insert(key(1), 0, c, bytes, || true);
         assert!(cache.get(&key(1), 0).is_none());
     }
 
@@ -511,7 +518,7 @@ mod tests {
     fn oversized_chunks_are_not_cached() {
         let cache = ChunkCache::new(64); // 8 bytes per shard
         let (c, bytes) = chunk(100);
-        assert_eq!(cache.insert(key(1), 0, c, bytes), 0);
+        assert_eq!(cache.insert(key(1), 0, c, bytes, || true), 0);
         assert!(cache.get(&key(1), 0).is_none());
     }
 
@@ -519,7 +526,7 @@ mod tests {
     fn optimistic_hits_bypass_the_shard_mutex() {
         let cache = ChunkCache::new(1 << 20);
         let (c, bytes) = chunk(10);
-        cache.insert(key(1), 0, c, bytes);
+        cache.insert(key(1), 0, c, bytes, || true);
         let stats = IoStats::new();
         // Hold the shard's own mutex across the gets: a hit that ever
         // touched `chunks` would deadlock here.
@@ -543,7 +550,7 @@ mod tests {
         // must still hit (via the fallback).
         let n = (SLOTS_PER_SHARD * CACHE_SHARDS * 2) as u64;
         for i in 0..n {
-            cache.insert(key(i), 0, c.clone(), bytes);
+            cache.insert(key(i), 0, c.clone(), bytes, || true);
         }
         assert_eq!(cache.len(), n as usize);
         for i in 0..n {
@@ -559,7 +566,7 @@ mod tests {
         // and the survivors must still be optimistically readable.
         let stats = IoStats::new();
         for n in 0..(SLOTS_PER_SHARD as u64 * CACHE_SHARDS as u64 * 4) {
-            cache.insert(key(n), 0, c.clone(), bytes);
+            cache.insert(key(n), 0, c.clone(), bytes, || true);
         }
         let mut hits = 0;
         for n in 0..(SLOTS_PER_SHARD as u64 * CACHE_SHARDS as u64 * 4) {
@@ -582,7 +589,7 @@ mod tests {
                     for i in 0..500u64 {
                         let k = key((t * 131 + i) % 64);
                         if i % 3 == 0 {
-                            cache.insert(k, 0, c.clone(), bytes);
+                            cache.insert(k, 0, c.clone(), bytes, || true);
                         } else if i % 7 == 0 {
                             cache.remove(&k);
                         } else if let Some(hit) = cache.get(&k, 0) {

@@ -34,9 +34,10 @@
 //! Two decoders, mirroring the LZW pair (`lzw::decompress` /
 //! `lzw::decompress_fast_into`):
 //!
-//! * [`decompress`] — the sequential oracle: reads one gap at a time,
+//! * [`decompress`] — the reference decoder: reads one gap at a time,
 //!   bit by bit. Simple enough to trust; the fast paths are asserted
-//!   bit-identical against it.
+//!   bit-identical against it (`tests/prop.rs`). It has no engine
+//!   caller.
 //! * [`DiffSeqCursor`] — the streaming fast path: unpacks whole blocks
 //!   into a fixed buffer through a 64-bit accumulator, prefix-sums, and
 //!   yields `(offsets, row-major measures)` batches without building a
@@ -162,9 +163,11 @@ fn split_sections(bytes: &[u8], limit: u32) -> Result<Sections<'_>> {
     })
 }
 
-/// The sequential oracle decoder: one gap at a time, bit by bit.
-/// `limit` is the chunk's cell count; any reconstructed offset at or
-/// past it is corruption.
+/// The reference decoder: one gap at a time, bit by bit. `limit` is the
+/// chunk's cell count; any reconstructed offset at or past it is
+/// corruption. No engine path calls it — every read decodes through
+/// [`decompress_fast`] or a [`DiffSeqCursor`], which the proptests hold
+/// to this function's output.
 pub fn decompress(bytes: &[u8], limit: u32) -> Result<CompressedChunk> {
     let s = split_sections(bytes, limit)?;
     let mut offsets: Vec<u32> = Vec::with_capacity(s.n);
@@ -216,9 +219,9 @@ pub fn decompress(bytes: &[u8], limit: u32) -> Result<CompressedChunk> {
 /// Structural validation without touching gap payloads: checks the
 /// header, section lengths, and every block header (width ≤ 32, payload
 /// present), skipping over the packed bits — O(count / BLOCK), not
-/// O(count). The prefetch producer runs this before handing raw bytes
-/// to a streaming consumer, so a torn read is classified where the
-/// fallback ladder lives (see `ChunkedArray::read_chunk_stream_at`)
+/// O(count). The chunk loader runs this before handing raw bytes to a
+/// streaming consumer, so a torn read is classified where the fallback
+/// ladder lives (see `ChunkedArray::read_chunk_stream_at`)
 /// without paying a second full unpack on every healthy chunk. One
 /// corruption class deliberately passes: gap values whose reconstruction
 /// runs past the chunk volume — [`DiffSeqCursor`] rejects those with the

@@ -57,7 +57,10 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Decompresses a stream produced by [`compress`].
+/// Decompresses a stream produced by [`compress`], walking each code's
+/// parent chain. The reference decoder: no engine path calls it — chunk
+/// reads use [`decompress_fast_into`], which the proptests hold to this
+/// function's output.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     if data.len() < 8 {
         return Err(ArrayError::Corrupt("lzw header"));
@@ -144,7 +147,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Span-based decompressor used by the prefetch pipeline.
+/// Span-based decompressor, the one every chunk read uses.
 ///
 /// Produces output identical to [`decompress`] but represents each
 /// dictionary entry as a `(start, len)` span of the output already
@@ -154,7 +157,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 /// copy instead of a per-byte parent-chain walk, reverse, and
 /// re-copy — on the zero-heavy dense chunks the ablation stores,
 /// phrases are long and the memcpy wins by a wide margin. The slower
-/// chain-walk decoder stays as the sequential-path oracle.
+/// chain-walk decoder stays as the reference.
 pub fn decompress_fast(data: &[u8]) -> Result<Vec<u8>> {
     let mut out = Vec::new();
     decompress_fast_into(data, &mut out)?;

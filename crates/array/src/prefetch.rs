@@ -5,13 +5,15 @@
 //! that already have a decoded image are resolved when the pipeline is
 //! built ([`ChunkedArray::resident_chunk_at`]) and never leave the
 //! consumers' threads; a warm scan needs no producer at all. The misses
-//! go to prefetcher threads that run ahead of the consumers: each
-//! claims the next miss, reads its pages (multi-page spans bypass the
-//! buffer pool via one vectored read, see
-//! `LobStore::read_into_prefetch`), decodes into an [`Arc<Chunk>`],
-//! publishes the decode through the shared
-//! [`ChunkCache`](crate::ChunkCache), and hands it over through a
-//! bounded ring.
+//! go to producers that run ahead of the consumers: each claims the
+//! next miss and loads it with [`ChunkedArray::read_chunk_stream_at`]
+//! (multi-page spans bypass the buffer pool via one vectored read; the
+//! chunk is decoded and published through the shared
+//! [`ChunkCache`](crate::ChunkCache), or, for DiffSeq, validated and
+//! left encoded), then hands it over through a bounded ring. When every
+//! miss fits the ring a producer can never park, so the owner may run
+//! [`ChunkPipeline::run_worker`] on its own thread before it consumes
+//! instead of spawning one.
 //!
 //! Delivery is strictly in candidate order regardless of which producer
 //! finishes first, so consumers see exactly the sequential scan order
@@ -76,10 +78,6 @@ pub struct ChunkPipeline<'a> {
     /// When set, every read resolves through it, so the whole scan
     /// observes one commit generation even while a writer publishes.
     snapshot: Option<ChunkSnapshot>,
-    /// Producers on DiffSeq arrays deliver validated encoded bytes
-    /// ([`ChunkedArray::read_chunk_stream_at`]) for consumers to stream
-    /// into kernels. Other formats are unaffected.
-    streaming: bool,
     delivery: Mutex<QueueState>,
     /// Signalled when the next chunk in order is published (consumers
     /// wait here).
@@ -102,7 +100,6 @@ impl<'a> ChunkPipeline<'a> {
         candidates: Vec<u64>,
         depth: usize,
         snapshot: Option<ChunkSnapshot>,
-        streaming: bool,
     ) -> Result<Self> {
         let depth = depth.max(1);
         let resident = candidates
@@ -123,7 +120,6 @@ impl<'a> ChunkPipeline<'a> {
             misses,
             depth,
             snapshot,
-            streaming,
             delivery: Mutex::new(QueueState {
                 ring,
                 ..QueueState::default()
@@ -172,14 +168,9 @@ impl<'a> ChunkPipeline<'a> {
             // Read + decode/validate outside the delivery lock.
             let chunk_no = self.candidates[self.misses[k]];
             let snap = self.snapshot.as_ref();
-            let result = if self.streaming {
-                self.array
-                    .read_chunk_stream_at(chunk_no, &mut scratch, snap)
-            } else {
-                self.array
-                    .read_chunk_prefetched_at(chunk_no, &mut scratch, snap)
-                    .map(ChunkPayload::Chunk)
-            };
+            let result = self
+                .array
+                .read_chunk_stream_at(chunk_no, &mut scratch, snap);
             let mut q = self.delivery.lock();
             if q.cancelled {
                 stats.prefetch_wasted_add(1);
@@ -330,7 +321,7 @@ mod tests {
             let depth = 3;
             pool.clear().unwrap();
             let before = pool.stats().snapshot();
-            let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+            let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
             assert_eq!(pipe.misses(), n, "a cleared pool leaves nothing resident");
             let seen = std::thread::scope(|s| {
                 for _ in 0..3 {
@@ -362,7 +353,7 @@ mod tests {
             a.read_chunk(chunk_no).unwrap();
         }
         let before = pool.stats().snapshot();
-        let pipe = ChunkPipeline::new(&a, candidates.clone(), 2, None, false).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates.clone(), 2, None).unwrap();
         assert_eq!(pipe.misses(), 0);
         // No producer exists, so any hand-off would hang right here.
         assert_eq!(drain(&pipe, &a), candidates);
@@ -385,7 +376,7 @@ mod tests {
         }
         let before = pool.stats().snapshot();
         let depth = 2;
-        let pipe = ChunkPipeline::new(&a, candidates, depth, None, false).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates, depth, None).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             // Take one chunk, then let the producer refill the window.
@@ -421,7 +412,7 @@ mod tests {
     fn empty_candidate_list_is_a_no_op() {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
-        let pipe = ChunkPipeline::new(&a, Vec::new(), 4, None, false).unwrap();
+        let pipe = ChunkPipeline::new(&a, Vec::new(), 4, None).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             assert!(pipe.next_payload().is_none());
@@ -438,7 +429,7 @@ mod tests {
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
         let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
         pool.clear().unwrap();
-        let pipe = ChunkPipeline::new(&a, candidates, 1, None, false).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates, 1, None).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             s.spawn(|| pipe.run_worker());
@@ -472,7 +463,7 @@ mod tests {
                         a.read_chunk(chunk_no).unwrap();
                     }
                 }
-                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
                 let mut seen: Vec<u64> = std::thread::scope(|s| {
                     for _ in 0..producers {
                         s.spawn(|| pipe.run_worker());
@@ -514,7 +505,7 @@ mod tests {
             let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
             for (depth, producers) in (1..=3).flat_map(|d| (1..=3).map(move |p| (d, p))) {
                 pool.clear().unwrap();
-                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None, false).unwrap();
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
                 disk.armed.store(true, Ordering::Relaxed);
                 let failed = std::thread::scope(|s| {
                     for _ in 0..producers {

@@ -60,9 +60,10 @@
 //! §8).
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use molap_storage::util::fib_shard;
 use molap_storage::BufferPool;
 use parking_lot::{Mutex, MutexGuard};
 
@@ -79,6 +80,10 @@ pub struct VersionKey {
     /// Chunk number within the array.
     pub chunk_no: u64,
 }
+
+/// Stripes of [`VersionTable::pins_taken`]: a pin cancels the cache
+/// publish of concurrent readers of the chunks on its stripe only.
+const PIN_STRIPES: usize = 64;
 
 /// A superseded chunk image kept alive for older snapshots.
 struct PinnedVersion {
@@ -125,6 +130,9 @@ impl VersionState {
     }
 }
 
+#[cfg(test)]
+type PinHook = Box<dyn Fn(&VersionTable) + Send + Sync>;
+
 /// Pool-wide table of pinned pre-write chunk images (see module docs).
 pub struct VersionTable {
     versions: Mutex<VersionState>,
@@ -133,6 +141,17 @@ pub struct VersionTable {
     /// while it is zero, so the table costs one atomic load per chunk
     /// read in workloads with no in-flight or snapshot-visible writes.
     pin_count: AtomicUsize,
+    /// Pins ever taken, striped by chunk identity: bumped by every
+    /// [`VersionTable::pin_provisional`] once the pin is visible, before
+    /// the writer drops the chunk's cached decode and overwrites its
+    /// bytes. A reader that sampled it before looking at a chunk and
+    /// finds it moved must not publish what it decoded (see
+    /// [`VersionTable::pins_taken`]).
+    pins_taken: [AtomicU64; PIN_STRIPES],
+    /// Test hook: runs inside [`VersionTable::pin_provisional`] between
+    /// the pin becoming visible and the `pins_taken` bump.
+    #[cfg(test)]
+    pub(crate) mid_pin: std::sync::OnceLock<PinHook>,
     /// Set by a failed batch that could not restore its pre-images;
     /// refuses new writes from then on.
     poisoned: AtomicBool,
@@ -160,6 +179,9 @@ impl VersionTable {
                 provisional: HashMap::new(),
             }),
             pin_count: AtomicUsize::new(0),
+            pins_taken: std::array::from_fn(|_| AtomicU64::new(0)),
+            #[cfg(test)]
+            mid_pin: std::sync::OnceLock::new(),
             poisoned: AtomicBool::new(false),
             commit: Mutex::new(()),
         }
@@ -225,11 +247,47 @@ impl VersionTable {
     pub fn pin_provisional(&self, writer: u64, key: VersionKey, chunk: Arc<Chunk>) {
         let mut state = self.versions.lock();
         let entries = state.provisional.entry(key).or_default();
-        if entries.iter().any(|(w, _)| *w == writer) {
-            return;
+        if !entries.iter().any(|(w, _)| *w == writer) {
+            entries.push((writer, chunk));
+            self.pin_count.fetch_add(1, Ordering::SeqCst);
         }
-        entries.push((writer, chunk));
-        self.pin_count.fetch_add(1, Ordering::SeqCst);
+        #[cfg(test)]
+        if let Some(hook) = self.mid_pin.get() {
+            hook(self);
+        }
+        // Last, and still under the lock: a reader that samples the
+        // bumped counter cannot then miss the pin (`pin_count` is
+        // already raised, so its lookup takes the lock), and one that
+        // sampled earlier finds the counter moved when it publishes.
+        self.pin_stripe(key).fetch_add(1, Ordering::SeqCst);
+    }
+
+    fn pin_stripe(&self, key: VersionKey) -> &AtomicU64 {
+        let idx = fib_shard(key.array.wrapping_add(key.chunk_no), PIN_STRIPES);
+        // The mask keeps idx < PIN_STRIPES, so this never falls back.
+        self.pins_taken.get(idx).unwrap_or(&self.pins_taken[0])
+    }
+
+    /// How many pins were ever taken on `key`'s stripe (its own pins
+    /// plus those of the chunks that hash beside it). A chunk read
+    /// samples it before its first pin check and passes "still the
+    /// same" as the condition of its chunk-cache insert, evaluated
+    /// under the cache's shard lock. A writer bumps it — after the pin
+    /// is visible, so a sample of the bumped value is always followed
+    /// by finding the pin — and only *then* removes the chunk's cache
+    /// entry under that lock. So either the reader's insert sees the
+    /// bump and is skipped, or it lands first and the writer's removal
+    /// takes it out: an image decoded from pre-write bytes is not left
+    /// in the cache by a reader that stalled across the pin.
+    pub fn pins_taken(&self, key: VersionKey) -> u64 {
+        self.pin_stripe(key).load(Ordering::SeqCst)
+    }
+
+    /// What `resolve`'s lock-free fast path sees: whether any pin is
+    /// visible yet.
+    #[cfg(test)]
+    pub(crate) fn pin_visible_lock_free(&self) -> bool {
+        self.pin_count.load(Ordering::SeqCst) > 0
     }
 
     /// Publishes writer `writer`'s batch: its provisional pins become

@@ -122,7 +122,8 @@ proptest! {
     #[test]
     fn lzw_roundtrips_arbitrary_bytes(data in proptest::collection::vec(any::<u8>(), 0..5000)) {
         let enc = lzw::compress(&data);
-        prop_assert_eq!(lzw::decompress(&enc).unwrap(), data);
+        prop_assert_eq!(&lzw::decompress(&enc).unwrap(), &data);
+        prop_assert_eq!(lzw::decompress_fast(&enc).unwrap(), data);
     }
 
     #[test]
@@ -134,7 +135,8 @@ proptest! {
             data.resize(data.len() + len, byte);
         }
         let enc = lzw::compress(&data);
-        prop_assert_eq!(lzw::decompress(&enc).unwrap(), data);
+        prop_assert_eq!(&lzw::decompress(&enc).unwrap(), &data);
+        prop_assert_eq!(lzw::decompress_fast(&enc).unwrap(), data);
     }
 
     #[test]

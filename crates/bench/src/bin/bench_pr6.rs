@@ -25,7 +25,8 @@
 //! ```text
 //! bench_pr6 [--smoke] [--out <path>]
 //!
-//! --smoke    shrink the dataset ~30x and the measurement window (CI)
+//! --smoke    shrink the dataset ~30x and the measurement window (CI);
+//!            prints the speedup without enforcing the bar
 //! --out      output path (default BENCH_PR6.json in the CWD)
 //! ```
 
@@ -178,7 +179,10 @@ fn main() {
     std::fs::write(&out, json).expect("write BENCH_PR6.json");
     println!("wrote {out}");
 
-    if herd_speedup < BAR_DELTA_VS_INVALIDATE {
+    // A smoke run's short window on a small host is too noisy to hold
+    // a timing bar: it prints the ratio above and keeps every
+    // correctness assertion; only the full run enforces the bar.
+    if !smoke && herd_speedup < BAR_DELTA_VS_INVALIDATE {
         eprintln!(
             "bench_pr6: FAIL — delta-maintained herd is {herd_speedup:.1}x the invalidate-all \
              baseline, below the {BAR_DELTA_VS_INVALIDATE:.0}x bar"

@@ -382,32 +382,33 @@ fn ablation_chunks(ctx: &Ctx) {
 }
 
 fn ablation_parallel(ctx: &Ctx) {
-    use molap_core::consolidate_parallel;
-    println!("\n== Ablation: parallel chunk-scan consolidation (paper §6 future work) ==");
+    use molap_core::{consolidate_pipelined, PrefetchPlan};
+    println!("\n== Ablation: pipelined parallel consolidation (paper §6 future work) ==");
     let spec = ctx.ds1(100);
     let fx = ctx.harness.build(&spec, &PAPER_CHUNK_DIMS);
     let q = query1(4);
     let (seq, baseline) = ctx.harness.run_query(&fx, Engine::Array, &q);
-    println!("{:<10} {:>10} {:>8}", "threads", "ms", "speedup");
-    println!("{:<10} {:>10.1} {:>8.2}", "1 (seq)", seq.wall_ms, 1.0);
-    let mut csv = vec![format!("1,{:.2},1.0", seq.wall_ms)];
-    for threads in [2usize, 4, 8, 16] {
+    let plan = PrefetchPlan::auto(fx.adt.array().shape().num_chunks());
+    println!("{:<10} {:>10} {:>8}", "workers", "ms", "speedup");
+    println!("{:<10} {:>10.1} {:>8.2}", "reference", seq.wall_ms, 1.0);
+    let mut csv = vec![format!("reference,{:.2},1.0", seq.wall_ms)];
+    for threads in [1usize, 2, 4, 8, 16] {
         let mut times = Vec::new();
         let mut result = None;
         for _ in 0..ctx.harness.runs.max(1) {
             fx.pool.clear().expect("cold");
             let t0 = std::time::Instant::now();
-            let res = consolidate_parallel(&fx.adt, &q, threads).expect("parallel");
+            let res = consolidate_pipelined(&fx.adt, &q, threads, plan).expect("pipelined");
             times.push(t0.elapsed().as_secs_f64() * 1e3);
             result = Some(res);
         }
-        assert_eq!(result.unwrap(), baseline, "parallel result must match");
+        assert_eq!(result.unwrap(), baseline, "pipelined result must match");
         times.sort_by(|a, b| a.total_cmp(b));
         let ms = times[times.len() / 2];
         println!("{threads:<10} {ms:>10.1} {:>8.2}", seq.wall_ms / ms);
         csv.push(format!("{threads},{ms:.2},{:.3}", seq.wall_ms / ms));
     }
-    ctx.write_csv("ablation_parallel", "threads,ms,speedup", &csv);
+    ctx.write_csv("ablation_parallel", "workers,ms,speedup", &csv);
 }
 
 fn print_header(ctx: &Ctx) {

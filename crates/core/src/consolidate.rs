@@ -1,33 +1,15 @@
 //! The OLAP Array consolidation algorithm (§4.1).
 //!
-//! Phase 1 scans the dimension tables, probes the key B-trees, loads
-//! the IndexToIndex arrays, and builds the result object's B-trees.
+//! Phase 1 loads the IndexToIndex arrays of the grouped dimensions.
 //! Phase 2 scans the input array once; each valid cell's indices are
 //! mapped through the IndexToIndex arrays to the result cell, and the
 //! measure is aggregated there — star join and aggregation fused into
 //! one position-based pass.
 
-use molap_btree::BTree;
-
 use crate::adt::OlapArray;
-use crate::error::{Error, Result};
+use crate::error::Result;
 use crate::query::{DimGrouping, Query};
 use crate::result::{ConsolidationResult, GroupedDim, ResultCube};
-
-/// Whether phase 1 should construct the result object's B-trees.
-///
-/// The §4.1 algorithm builds them so the result ADT supports further
-/// value-based lookups — but a query that only produces rows (the SQL
-/// path, parallel workers, partitioned bands) discards them unread, and
-/// the dimension-table scan + B-tree inserts are pure overhead there.
-/// Materialization passes `Yes`; hot row-producing paths pass `No`.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub(crate) enum BuildResultBtrees {
-    /// Construct result B-trees (result will become an ADT).
-    Yes,
-    /// Skip them (result is consumed as rows).
-    No,
-}
 
 /// Phase-1 output for one grouped dimension.
 pub(crate) struct GroupMap {
@@ -42,33 +24,13 @@ pub(crate) struct GroupMap {
 }
 
 /// Phase 1 (§4.1): for each grouped dimension, load its IndexToIndex
-/// array, and build the result OLAP object's B-tree by scanning the
-/// dimension table and probing the key B-tree for each row.
-///
-/// With [`BuildResultBtrees::Yes`], the result B-trees are genuinely
-/// constructed (the dimension scans, key-B-tree probes, and B-tree
-/// inserts are real work, as in the paper) and returned so callers may
-/// hang them off a result ADT. They are built on an ephemeral in-memory
-/// pool: allocating them on the input's pool would grow the database
-/// file on every query, and the paper's result object is transient
-/// unless explicitly materialized. With [`BuildResultBtrees::No`] that
-/// whole phase-1 step is skipped and the returned vec is empty.
-pub(crate) fn phase1(
-    adt: &OlapArray,
-    query: &Query,
-    build: BuildResultBtrees,
-) -> Result<(Vec<GroupMap>, Vec<BTree>)> {
-    use molap_storage::{BufferPool, MemDisk};
-    use std::sync::Arc;
-    let result_pool = match build {
-        BuildResultBtrees::Yes => Some(Arc::new(BufferPool::with_bytes(
-            Arc::new(MemDisk::new()),
-            4 << 20,
-        ))),
-        BuildResultBtrees::No => None,
-    };
+/// array and the group codes its ranks stand for. The paper's phase 1
+/// also builds the result object's B-trees; a result that becomes an
+/// ADT gets them from [`OlapArray::build`] when
+/// [`OlapArray::consolidate_to_array`] materializes it, and a result
+/// consumed as rows never reads them.
+pub(crate) fn phase1(adt: &OlapArray, query: &Query) -> Result<Vec<GroupMap>> {
     let mut maps = Vec::new();
-    let mut result_btrees = Vec::new();
     for (d, grouping) in query.group_by.iter().enumerate() {
         let dim = &adt.dims()[d];
         let (i2i, codes, column) = match grouping {
@@ -84,31 +46,6 @@ pub(crate) fn phase1(
                 (i2i, codes, format!("{}.{}", dim.name(), name))
             }
         };
-        // Build the result B-tree: scan the dimension table, probe the
-        // key B-tree for each tuple's array index, insert its group
-        // value with the group's result index.
-        if let Some(result_pool) = &result_pool {
-            let mut result_btree = BTree::create(result_pool.clone())?;
-            let key_btree = &adt.dim_indexes(d).key_btree;
-            // Loop-invariant: the grouping dispatch and the code-column
-            // borrow are the same for every key — hoist them so the
-            // per-key loop is probe → remap → insert.
-            let key_grouped = matches!(grouping, DimGrouping::Key);
-            let codes = codes.as_slice();
-            for &key in dim.keys() {
-                let idx = key_btree.get(key)?.ok_or_else(|| {
-                    Error::Internal(format!("dimension key {key} missing from its key B-tree"))
-                })?;
-                let rank = i2i[idx as usize];
-                let code = if key_grouped {
-                    key
-                } else {
-                    codes[rank as usize]
-                };
-                result_btree.insert(code, rank as u64)?;
-            }
-            result_btrees.push(result_btree);
-        }
         maps.push(GroupMap {
             dim: d,
             i2i,
@@ -116,7 +53,7 @@ pub(crate) fn phase1(
             column,
         });
     }
-    Ok((maps, result_btrees))
+    Ok(maps)
 }
 
 /// Builds the empty result cube for a set of group maps.
@@ -132,54 +69,13 @@ pub(crate) fn make_cube(maps: &[GroupMap], n_measures: usize) -> ResultCube {
     ResultCube::new(dims, n_measures)
 }
 
-/// Prefetch-pipeline consumer for the §4.1 full scan: drains `pipe`
-/// (shared with any number of peer consumers) and aggregates each
-/// delivered chunk into `cube` through its [`ChunkKernel`]. A delivered
-/// error is returned as it is; the caller shuts the pipeline down.
-///
-/// [`ChunkKernel`]: crate::kernel::ChunkKernel
-pub(crate) fn full_scan_consumer(
-    adt: &OlapArray,
-    remap: &crate::kernel::QueryRemap<'_>,
-    pipe: &molap_array::ChunkPipeline<'_>,
-    cube: &mut ResultCube,
-) -> Result<()> {
-    use molap_array::diffseq::DiffSeqCursor;
-    use molap_array::ChunkPayload;
-    let limit = adt.array().shape().chunk_cells() as u32;
-    while let Some(item) = pipe.next_payload() {
-        let (chunk_no, payload) = item?;
-        match payload {
-            ChunkPayload::Chunk(chunk) => {
-                if chunk.valid_cells() != 0 {
-                    remap.kernel(chunk_no, None).apply(&chunk, cube);
-                }
-            }
-            ChunkPayload::DiffSeq(bytes) => {
-                let cursor = DiffSeqCursor::new(&bytes, limit)?;
-                if !cursor.is_empty() {
-                    remap.kernel(chunk_no, None).apply_stream(cursor, cube)?;
-                }
-            }
-        }
-    }
-    Ok(())
-}
-
-/// The §4.1 algorithm: full consolidation, no selections.
+/// The §4.1 reference algorithm: full consolidation, no selections,
+/// one cell at a time on the calling thread. It reads each chunk at the
+/// current generation with no snapshot across chunks, so it is the
+/// oracle for a quiesced array; the engine's scans go through
+/// [`crate::consolidate_pipelined`].
 pub(crate) fn consolidate_full(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
-    let (_, cube) = consolidate_full_cube(adt, query, BuildResultBtrees::No)?;
-    cube.into_result(&query.aggs)
-}
-
-/// §4.1 core returning the positional result cube (used by the
-/// row-producing wrapper and by result materialization).
-pub(crate) fn consolidate_full_cube(
-    adt: &OlapArray,
-    query: &Query,
-    build: BuildResultBtrees,
-) -> Result<(Vec<GroupMap>, ResultCube)> {
-    let (maps, _result_btrees) = phase1(adt, query, build)?;
+    let maps = phase1(adt, query)?;
     let mut cube = make_cube(&maps, adt.n_measures());
 
     // Phase 2: one scan of the input array; position-based aggregation.
@@ -191,7 +87,7 @@ pub(crate) fn consolidate_full_cube(
         cube.add(&ranks, values);
     })?;
 
-    Ok((maps, cube))
+    cube.into_result(&query.aggs)
 }
 
 /// Memory-bounded consolidation — the extension §4.1 sketches for
@@ -210,7 +106,7 @@ pub(crate) fn consolidate_partitioned(
     query: &Query,
     max_result_cells: usize,
 ) -> Result<ConsolidationResult> {
-    let (maps, _result_btrees) = phase1(adt, query, BuildResultBtrees::No)?;
+    let maps = phase1(adt, query)?;
     if maps.is_empty() {
         // Global aggregate: nothing to partition.
         let mut cube = make_cube(&maps, adt.n_measures());
@@ -400,30 +296,6 @@ mod tests {
             res.rows()[0].values[0],
             AggValue::Ratio { sum: 15, count: 4 }
         );
-    }
-
-    #[test]
-    fn phase1_builds_result_btrees() {
-        let adt = build();
-        let q = Query::new(vec![DimGrouping::Level(1), DimGrouping::Level(0)]);
-        let (maps, btrees) = phase1(&adt, &q, BuildResultBtrees::Yes).unwrap();
-        assert_eq!(maps.len(), 2);
-        assert_eq!(btrees.len(), 2);
-        // store.region result B-tree: one entry per dimension row.
-        assert_eq!(btrees[0].len(), 4);
-        // Probing a group value yields its result index (rank).
-        assert_eq!(btrees[0].get(5).unwrap(), Some(0));
-        assert_eq!(btrees[0].get(6).unwrap(), Some(1));
-        assert_eq!(btrees[1].get(7).unwrap(), Some(0));
-    }
-
-    #[test]
-    fn phase1_can_skip_result_btrees() {
-        let adt = build();
-        let q = Query::new(vec![DimGrouping::Level(1), DimGrouping::Level(0)]);
-        let (maps, btrees) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
-        assert_eq!(maps.len(), 2, "group maps are unaffected by the opt-out");
-        assert!(btrees.is_empty());
     }
 
     #[test]

@@ -16,8 +16,8 @@
 //! the cost.
 
 use crate::adt::OlapArray;
-use crate::consolidate::{make_cube, phase1, BuildResultBtrees};
 use crate::error::{Error, Result};
+use crate::parallel::consolidate_cube_auto;
 use crate::query::Query;
 use crate::result::{ConsolidationResult, ResultCube};
 
@@ -48,8 +48,7 @@ pub fn compute_cube(adt: &OlapArray, query: &Query) -> Result<Vec<CubeSlice>> {
             "compute_cube does not take selections; filter with consolidate() instead".into(),
         ));
     }
-    let (maps, _btrees) = phase1(adt, query, BuildResultBtrees::No)?;
-    let g = maps.len();
+    let g = query.grouped_dims().len();
     if g > MAX_CUBE_DIMS {
         return Err(Error::Query(format!(
             "CUBE over {g} dimensions would produce 2^{g} group-bys"
@@ -57,20 +56,13 @@ pub fn compute_cube(adt: &OlapArray, query: &Query) -> Result<Vec<CubeSlice>> {
     }
 
     // Finest cube: one positional array scan (§4.1 phase 2).
-    let mut finest = make_cube(&maps, adt.n_measures());
-    let mut ranks = vec![0u32; g];
-    adt.array().for_each_cell(|coords, values| {
-        for (i, map) in maps.iter().enumerate() {
-            ranks[i] = map.i2i[coords[map.dim] as usize];
-        }
-        finest.add(&ranks, values);
-    })?;
+    let (_, finest) = consolidate_cube_auto(adt, query)?;
 
     // Lattice walk: for each mask (descending popcount), project from
     // the smallest computed parent differing by exactly one dimension.
     let total = 1usize << g;
-    let mut cubes: Vec<Option<ResultCube>> = vec![None; total];
-    cubes[total - 1] = Some(finest);
+    let mut cubes: Vec<Option<ResultCube>> = vec![None; total - 1];
+    cubes.push(Some(finest));
 
     let mut order: Vec<usize> = (0..total).collect();
     order.sort_by_key(|m| std::cmp::Reverse(m.count_ones()));
@@ -125,8 +117,7 @@ pub fn compute_cube(adt: &OlapArray, query: &Query) -> Result<Vec<CubeSlice>> {
 mod tests {
     use super::*;
     use crate::dimension::DimensionTable;
-    use crate::query::DimGrouping;
-    use crate::query::{AttrRef, Selection};
+    use crate::query::{AttrRef, DimGrouping, Selection};
     use molap_array::ChunkFormat;
     use molap_storage::{BufferPool, MemDisk};
     use std::sync::Arc;

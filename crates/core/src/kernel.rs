@@ -1,8 +1,8 @@
 //! Per-chunk aggregation kernels — the array analogue of vectorized
 //! execution.
 //!
-//! The per-cell inner loops in `consolidate`/`select`/`parallel` pay a
-//! full dispatch per valid cell: decode the cell's coordinates, walk the
+//! The per-cell inner loops of the reference (`consolidate`/`select`)
+//! pay a full dispatch per valid cell: decode the cell's coordinates, walk the
 //! grouped dimensions, bounds-check an IndexToIndex lookup each, then
 //! re-derive the result cube's linear cell from the ranks. Everything
 //! but the cell offset is invariant per *query*: a [`QueryRemap`] holds,
@@ -14,8 +14,10 @@
 //! reciprocal multiply and one table load per dimension →
 //! [`ResultCube::add_linear`].
 //!
-//! Kernels are used by the prefetch-pipeline consumers; the classic
-//! per-cell paths are kept verbatim as the sequential oracle.
+//! Kernels are used by the pipeline consumer in `parallel`; the per-cell
+//! paths are kept as the reference ([`OlapArray::consolidate`]).
+//!
+//! [`OlapArray::consolidate`]: crate::OlapArray::consolidate
 
 use std::borrow::Cow;
 
@@ -218,7 +220,7 @@ impl ChunkKernel<'_> {
 mod tests {
     use super::*;
     use crate::adt::OlapArray;
-    use crate::consolidate::{make_cube, phase1, BuildResultBtrees};
+    use crate::consolidate::{make_cube, phase1};
     use crate::dimension::DimensionTable;
     use crate::query::{DimGrouping, Query};
     use molap_array::ChunkFormat;
@@ -309,7 +311,7 @@ mod tests {
             for group_by in groupings() {
                 for membership in [None, Some(mask.as_slice())] {
                     let q = Query::new(group_by.clone());
-                    let (maps, _) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
+                    let maps = phase1(&adt, &q).unwrap();
                     let mut cube = make_cube(&maps, adt.n_measures());
                     let remap = QueryRemap::new(shape, &maps, &cube);
                     for chunk_no in 0..shape.num_chunks() {
@@ -340,7 +342,7 @@ mod tests {
         for group_by in groupings() {
             for membership in [None, Some(mask.as_slice())] {
                 let q = Query::new(group_by.clone());
-                let (maps, _) = phase1(&adt, &q, BuildResultBtrees::No).unwrap();
+                let maps = phase1(&adt, &q).unwrap();
                 let mut expect = make_cube(&maps, adt.n_measures());
                 let mut cube = make_cube(&maps, adt.n_measures());
                 let remap = QueryRemap::new(shape, &maps, &cube);

@@ -21,6 +21,11 @@
 //! star-join + group-by + aggregate over one array scan) and the
 //! selection path (§4.2: B-tree index lists → chunk-ordered
 //! cross-product probe with binary search inside compressed chunks).
+//! `OlapArray::consolidate` is the per-cell, single-threaded reference
+//! for a quiesced array; the engine runs both algorithms through one
+//! snapshot-pinned chunk pipeline ([`consolidate_auto`],
+//! [`consolidate_pipelined`]), which is what [`Database::sql`],
+//! [`compute_cube`] and [`OlapArray::consolidate_to_array`] use.
 //!
 //! **The relational side** — [`StarSchema`] (fact file + dimension
 //! tables) evaluated by
@@ -105,7 +110,7 @@ pub use cube_op::{compute_cube, CubeSlice};
 pub use dimension::DimensionTable;
 pub use error::{Error, Result};
 pub use molap_array::ChunkFormat;
-pub use parallel::{consolidate_auto, consolidate_parallel, consolidate_pipelined, PrefetchPlan};
+pub use parallel::{consolidate_auto, consolidate_pipelined, PrefetchPlan};
 pub use query::{AttrRef, DimGrouping, Pred, Query, Selection};
 pub use rescache::{shared_result_cache, CacheKey, ResultCache};
 pub use result::{ConsolidationResult, GroupedDim, ResultCube, Rollup, Row};

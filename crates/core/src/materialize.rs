@@ -18,11 +18,11 @@ use molap_storage::BufferPool;
 
 use crate::adt::OlapArray;
 use crate::aggregate::{AggFunc, AggValue};
-use crate::consolidate::{consolidate_full_cube, BuildResultBtrees, GroupMap};
+use crate::consolidate::GroupMap;
 use crate::dimension::DimensionTable;
 use crate::error::{Error, Result};
+use crate::parallel::consolidate_cube_auto;
 use crate::query::{DimGrouping, Query};
-use crate::select::consolidate_with_selection_cube;
 
 impl OlapArray {
     /// Evaluates `query` and materializes the result as a new
@@ -41,16 +41,12 @@ impl OlapArray {
                 "AVG cannot be materialized as a cell measure; materialize SUM and COUNT".into(),
             ));
         }
-        let (maps, cube) = if query.has_selection() {
-            consolidate_with_selection_cube(self, query)?
-        } else {
-            consolidate_full_cube(self, query, BuildResultBtrees::Yes)?
-        };
-        if maps.is_empty() {
+        if query.grouped_dims().is_empty() {
             return Err(Error::Query(
                 "a result array needs at least one grouped dimension".into(),
             ));
         }
+        let (maps, cube) = consolidate_cube_auto(self, query)?;
 
         let dims: Vec<DimensionTable> = maps
             .iter()

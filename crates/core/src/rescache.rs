@@ -463,17 +463,6 @@ impl ResultCache {
         })
     }
 
-    /// [`ResultCache::get`] forced down the shard-mutex path with the
-    /// optimistic probe skipped — the pre-optimistic protocol, kept
-    /// callable so the contention microbench and oracle tests can
-    /// compare the two lookup paths on the same cache.
-    #[doc(hidden)]
-    pub fn get_via_mutex(&self, key: &CacheKey, epoch: u64) -> Option<Arc<ResultCube>> {
-        let write_gen = self.write_gen();
-        let array_gen = self.array_gen(key.array_id);
-        self.get_locked(self.shard(key), key, epoch, write_gen, array_gen)
-    }
-
     /// The mutex path: authoritative lookup, eager stale-entry drop,
     /// and the only server of overflow (unmirrored) entries.
     fn get_locked(
@@ -1005,13 +994,7 @@ mod tests {
     }
 
     fn cube_for(adt: &OlapArray, q: &Query) -> ResultCube {
-        let (_, cube) = crate::consolidate::consolidate_full_cube(
-            adt,
-            q,
-            crate::consolidate::BuildResultBtrees::No,
-        )
-        .unwrap();
-        cube
+        crate::parallel::consolidate_cube_auto(adt, q).unwrap().1
     }
 
     #[test]

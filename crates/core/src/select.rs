@@ -25,7 +25,7 @@
 use molap_array::{Chunk, Shape};
 
 use crate::adt::OlapArray;
-use crate::consolidate::{make_cube, phase1, BuildResultBtrees, GroupMap};
+use crate::consolidate::{make_cube, phase1, GroupMap};
 use crate::error::Result;
 use crate::query::{AttrRef, Pred, Query};
 use crate::result::ConsolidationResult;
@@ -200,12 +200,31 @@ fn make_probe(adt: &OlapArray, d: usize, list: Option<Vec<u32>>) -> DimProbe {
     DimProbe { groups }
 }
 
-/// The §4.2 algorithm.
+/// The §4.2 reference algorithm, chunk by chunk on the calling thread.
+/// Like [`crate::consolidate::consolidate_full`] it reads each chunk at
+/// the current generation with no snapshot across chunks.
 pub(crate) fn consolidate_with_selection(
     adt: &OlapArray,
     query: &Query,
 ) -> Result<ConsolidationResult> {
-    let (_, cube) = consolidate_with_selection_cube_opt(adt, query, BuildResultBtrees::No)?;
+    let maps = phase1(adt, query)?;
+    let mut cube = make_cube(&maps, adt.n_measures());
+    let shape = adt.array().shape();
+
+    // Step 1: final index lists.
+    let (probes, any_empty) = build_probes(adt, query)?;
+
+    if !any_empty {
+        // Step 2: cross-product in (chunk number, chunk offset) order.
+        let mut ranks = vec![0u32; maps.len()];
+        for (chunk_no, chunk_sel) in candidate_chunks(shape, &probes) {
+            let chunk = adt.array().read_chunk(chunk_no)?;
+            eval_chunk(
+                adt, &chunk, &probes, &chunk_sel, &maps, &mut ranks, &mut cube,
+            );
+        }
+    }
+
     cube.into_result(&query.aggs)
 }
 
@@ -230,7 +249,7 @@ pub(crate) fn build_probes(adt: &OlapArray, query: &Query) -> Result<(Vec<DimPro
 ///
 /// The list is chunk-granular (bounded by the array's chunk count);
 /// the *cell* cross-product is still generated on the fly inside
-/// [`eval_chunk`], as §4.2 requires.
+/// [`probe_chunk`], as §4.2 requires.
 pub(crate) fn candidate_chunks(shape: &Shape, probes: &[DimProbe]) -> Vec<(u64, Vec<usize>)> {
     let n = probes.len();
     if probes.iter().any(|p| p.groups.is_empty()) {
@@ -269,7 +288,7 @@ pub(crate) fn candidate_chunks(shape: &Shape, probes: &[DimProbe]) -> Vec<(u64, 
 /// count, probing every cross-product element costs more than scanning
 /// the valid cells and testing membership per dimension.
 #[allow(clippy::too_many_arguments)]
-pub(crate) fn eval_chunk(
+fn eval_chunk(
     adt: &OlapArray,
     chunk: &Chunk,
     probes: &[DimProbe],
@@ -292,41 +311,6 @@ pub(crate) fn eval_chunk(
     }
 }
 
-/// §4.2 core returning the positional result cube.
-pub(crate) fn consolidate_with_selection_cube(
-    adt: &OlapArray,
-    query: &Query,
-) -> Result<(Vec<GroupMap>, crate::result::ResultCube)> {
-    consolidate_with_selection_cube_opt(adt, query, BuildResultBtrees::Yes)
-}
-
-/// §4.2 core with the result-B-tree opt-out exposed.
-pub(crate) fn consolidate_with_selection_cube_opt(
-    adt: &OlapArray,
-    query: &Query,
-    build: BuildResultBtrees,
-) -> Result<(Vec<GroupMap>, crate::result::ResultCube)> {
-    let (maps, _result_btrees) = phase1(adt, query, build)?;
-    let mut cube = make_cube(&maps, adt.n_measures());
-    let shape = adt.array().shape();
-
-    // Step 1: final index lists.
-    let (probes, any_empty) = build_probes(adt, query)?;
-
-    if !any_empty {
-        // Step 2: cross-product in (chunk number, chunk offset) order.
-        let mut ranks = vec![0u32; maps.len()];
-        for (chunk_no, chunk_sel) in candidate_chunks(shape, &probes) {
-            let chunk = adt.array().read_chunk(chunk_no)?;
-            eval_chunk(
-                adt, &chunk, &probes, &chunk_sel, &maps, &mut ranks, &mut cube,
-            );
-        }
-    }
-
-    Ok((maps, cube))
-}
-
 /// The §4.2 scan-direction membership masks for one qualifying chunk:
 /// per dimension, which within-chunk coordinates are selected.
 pub(crate) fn chunk_membership(
@@ -346,73 +330,10 @@ pub(crate) fn chunk_membership(
         .collect()
 }
 
-/// Prefetch-pipeline consumer for the §4.2 selection path: drains
-/// qualifying chunks from `pipe` and evaluates each into `cube` in the
-/// adaptive direction — scan-direction chunks go through their
-/// [`ChunkKernel`](crate::kernel::ChunkKernel) with the membership
-/// masks folded into its tables, probe-direction chunks through the
-/// §4.2 resumed binary probe. A delivered error is returned as it is;
-/// the caller shuts the pipeline down.
-pub(crate) fn selection_consumer(
-    adt: &OlapArray,
-    maps: &[GroupMap],
-    remap: &crate::kernel::QueryRemap<'_>,
-    probes: &[DimProbe],
-    candidates: &[(u64, Vec<usize>)],
-    pipe: &molap_array::ChunkPipeline<'_>,
-    cube: &mut crate::result::ResultCube,
-) -> Result<()> {
-    use molap_array::diffseq::DiffSeqCursor;
-    use molap_array::ChunkPayload;
-    let shape = adt.array().shape();
-    let limit = shape.chunk_cells() as u32;
-    let mut ranks = vec![0u32; maps.len()];
-    while let Some(item) = pipe.next_payload() {
-        let (chunk_no, payload) = item?;
-        // Candidates ascend in chunk number (odometer order), so the
-        // delivered chunk's selection cursor is a binary search away.
-        let ci = candidates.binary_search_by_key(&chunk_no, |c| c.0).ok();
-        let Some((_, chunk_sel)) = ci.and_then(|i| candidates.get(i)) else {
-            return Err(crate::error::Error::Internal(
-                "pipelined chunk missing from candidates".into(),
-            ));
-        };
-        let cross: u64 = (0..probes.len())
-            .map(|d| probes[d].groups[chunk_sel[d]].indices.len() as u64)
-            .product();
-        let masked = || remap.kernel(chunk_no, Some(&chunk_membership(shape, probes, chunk_sel)));
-        // Scan direction streams when it can; probe direction needs
-        // random access by offset — one of the paths that genuinely
-        // wants a Chunk.
-        let chunk = match payload {
-            ChunkPayload::Chunk(chunk) => chunk,
-            ChunkPayload::DiffSeq(bytes) => {
-                let cursor = DiffSeqCursor::new(&bytes, limit)?;
-                if cross > cursor.len() as u64 {
-                    if !cursor.is_empty() {
-                        masked().apply_stream(cursor, cube)?;
-                    }
-                    continue;
-                }
-                ChunkPayload::DiffSeq(bytes).into_chunk(limit)?
-            }
-        };
-        if chunk.valid_cells() == 0 {
-            continue;
-        }
-        if cross > chunk.valid_cells() {
-            masked().apply(&chunk, cube);
-        } else {
-            probe_chunk(adt, &chunk, probes, chunk_sel, maps, &mut ranks, cube);
-        }
-    }
-    Ok(())
-}
-
 /// Probes every cross-product element falling in `chunk`, aggregating
 /// hits into `cube`.
 #[allow(clippy::too_many_arguments)]
-fn probe_chunk(
+pub(crate) fn probe_chunk(
     adt: &OlapArray,
     chunk: &Chunk,
     probes: &[DimProbe],

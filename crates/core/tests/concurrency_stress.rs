@@ -1,5 +1,5 @@
 //! Multi-threaded stress over one shared [`Database`]: concurrent full,
-//! selection, parallel, and SQL consolidations must all return the
+//! selection, pipelined, and SQL consolidations must all return the
 //! sequential answers while racing on the sharded buffer pool and the
 //! shared decoded-chunk cache.
 //!
@@ -12,8 +12,8 @@ use std::sync::Arc;
 
 use molap_array::ChunkFormat;
 use molap_core::{
-    consolidate_auto, consolidate_parallel, AttrRef, ConsolidationResult, Database, DimGrouping,
-    DimensionTable, OlapArray, Query, Selection,
+    consolidate_auto, consolidate_pipelined, AttrRef, ConsolidationResult, Database, DimGrouping,
+    DimensionTable, OlapArray, PrefetchPlan, Query, Selection,
 };
 
 const THREADS: usize = 8;
@@ -61,7 +61,7 @@ fn mixed_concurrent_consolidations_match_sequential() {
     db.save_olap_array("sales", &adt).unwrap();
     db.checkpoint().unwrap();
 
-    // The query mix, with sequential oracle answers computed up front.
+    // The query mix, with reference answers computed up front.
     let full = Query::new(vec![DimGrouping::Level(0), DimGrouping::Level(0)]);
     let keyed = Query::new(vec![DimGrouping::Key, DimGrouping::Drop]);
     let selected = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop])
@@ -90,7 +90,10 @@ fn mixed_concurrent_consolidations_match_sequential() {
                     let (q, expect) = &queries[(t + i) % queries.len()];
                     let got = match i % 4 {
                         0 => adt.consolidate(q).unwrap(),
-                        1 => consolidate_parallel(&adt, q, 1 + (t + i) % 4).unwrap(),
+                        1 => {
+                            let plan = PrefetchPlan::auto(adt.array().shape().num_chunks());
+                            consolidate_pipelined(&adt, q, 1 + (t + i) % 4, plan).unwrap()
+                        }
                         2 => consolidate_auto(&adt, q).unwrap(),
                         _ => {
                             assert_eq!(db.sql(sql, &["volume"]).unwrap(), sql_expect);
@@ -145,9 +148,14 @@ fn mixed_concurrent_consolidations_match_sequential() {
 /// chunk but the two a batch rewrites is resolved from the chunk cache
 /// before the pipeline starts, so a commit landing mid-scan meets
 /// resolved chunks, pinned pre-images and producer reads in one scan.
+///
+/// Each race runs on an eight-chunk array (16×8 cells) and on a
+/// four-chunk one (16×4): `consolidate_auto` must pin a snapshot
+/// however few chunks the array has.
 #[test]
 fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
-    writer_vs_pipelined_readers(false);
+    writer_vs_pipelined_readers(false, 8);
+    writer_vs_pipelined_readers(false, 4);
 }
 
 /// The same race with the readers' chunks cold: every scan starts by
@@ -156,18 +164,22 @@ fn writer_vs_pipelined_readers_see_only_batch_boundaries() {
 /// producer's bypass read while the writer overwrites in place.
 #[test]
 fn writer_vs_cold_pipelined_readers_see_only_batch_boundaries() {
-    writer_vs_pipelined_readers(true);
+    writer_vs_pipelined_readers(true, 8);
+    writer_vs_pipelined_readers(true, 4);
 }
 
-fn writer_vs_pipelined_readers(cold: bool) {
-    use molap_core::{consolidate_pipelined, AggValue, PrefetchPlan, WriteBatch};
+/// The race over a 16×`products` array in `[4, 4]` chunks.
+fn writer_vs_pipelined_readers(cold: bool, products: i64) {
+    use molap_core::{shared_result_cache, AggValue, WriteBatch};
+    use std::sync::atomic::{AtomicBool, Ordering};
     use std::sync::Barrier;
 
     const BATCHES: i64 = 10;
     const READERS: usize = 4;
     const READS: usize = 25;
 
-    let path = temp_path(if cold { "writer-cold" } else { "writer" });
+    let mode = if cold { "writer-cold" } else { "writer" };
+    let path = temp_path(&format!("{mode}-{products}"));
     let db = Arc::new(Database::create(&path, 1 << 20).unwrap());
     let dims = vec![
         DimensionTable::build(
@@ -178,15 +190,17 @@ fn writer_vs_pipelined_readers(cold: bool) {
         .unwrap(),
         DimensionTable::build(
             "product",
-            &(0..8i64).collect::<Vec<_>>(),
-            vec![("ptype", (0..8i64).map(|k| k % 2).collect())],
+            &(0..products).collect::<Vec<_>>(),
+            vec![("ptype", (0..products).map(|k| k % 2).collect())],
         )
         .unwrap(),
     ];
     let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..16i64)
-        .flat_map(|x| (0..8i64).map(move |y| (vec![x, y], vec![x * 8 + y])))
+        .flat_map(|x| (0..products).map(move |y| (vec![x, y], vec![x * products + y])))
         .collect();
     let base_sum: i64 = cells.iter().map(|(_, v)| v[0]).sum();
+    let last = [15, products - 1];
+    let last_value = 15 * products + products - 1;
     let adt = OlapArray::build(
         db.pool().clone(),
         dims,
@@ -200,33 +214,35 @@ fn writer_vs_pipelined_readers(cold: bool) {
     db.checkpoint().unwrap();
 
     // Total sums at every batch boundary: batch r sets cell [0,0]
-    // (originally 0) to r*100_000 and cell [15,7] (originally 127) to
-    // r*100_000 + 7.
+    // (originally 0) to r*100_000 and the last cell to r*100_000 + 7.
     let valid: std::collections::HashSet<i64> = (0..=BATCHES)
         .map(|r| {
             if r == 0 {
                 base_sum
             } else {
-                base_sum - 127 + (r * 100_000) + (r * 100_000 + 7)
+                base_sum - last_value + (r * 100_000) + (r * 100_000 + 7)
             }
         })
         .collect();
 
     let q = Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]);
     let barrier = Arc::new(Barrier::new(READERS + 1));
+    let writer_done = Arc::new(AtomicBool::new(false));
 
     let writer = {
         let db = db.clone();
         let barrier = barrier.clone();
+        let writer_done = writer_done.clone();
         std::thread::spawn(move || {
             barrier.wait();
             for r in 1..=BATCHES {
                 let mut batch = WriteBatch::new();
                 batch.set(&[0, 0], &[r * 100_000]);
-                batch.set(&[15, 7], &[r * 100_000 + 7]);
+                batch.set(&last, &[r * 100_000 + 7]);
                 let receipt = db.write_batch("wsales", &batch).unwrap();
                 assert_eq!(receipt.cells_written, 2);
             }
+            writer_done.store(true, Ordering::SeqCst);
         })
     };
     let readers: Vec<_> = (0..READERS)
@@ -235,21 +251,31 @@ fn writer_vs_pipelined_readers(cold: bool) {
             let q = q.clone();
             let valid = valid.clone();
             let barrier = barrier.clone();
+            let writer_done = writer_done.clone();
             std::thread::spawn(move || {
                 // One handle for the whole run: in-place commits are
                 // visible through it, bridged by pinned pre-images
                 // while a scan is mid-flight.
                 let adt = db.open_olap_array("wsales").unwrap();
+                let results = shared_result_cache(db.pool()).unwrap();
+                let pipelined = t % 2 == 0;
                 barrier.wait();
-                for i in 0..READS {
+                // The `consolidate_auto` readers keep scanning until
+                // the writer is done, so every commit races a scan.
+                for i in 0.. {
+                    if i >= READS && (pipelined || writer_done.load(Ordering::SeqCst)) {
+                        break;
+                    }
                     if cold {
                         // Fails while a page is pinned; the next round
                         // tries again.
                         let _ = db.pool().clear();
                     }
-                    let got = if t % 2 == 0 {
+                    let got = if pipelined {
                         consolidate_pipelined(&adt, &q, 2, PrefetchPlan::new(2, 4)).unwrap()
                     } else {
+                        // A cached cube would answer without a scan.
+                        results.bump_write_gen();
                         consolidate_auto(&adt, &q).unwrap()
                     };
                     let sum = match got.rows()[0].values[0] {
@@ -278,7 +304,7 @@ fn writer_vs_pipelined_readers(cold: bool) {
     };
     assert_eq!(
         final_sum,
-        base_sum - 127 + BATCHES * 100_000 + BATCHES * 100_000 + 7
+        base_sum - last_value + BATCHES * 100_000 + BATCHES * 100_000 + 7
     );
 
     drop(db);
@@ -301,7 +327,7 @@ fn writer_vs_pipelined_readers(cold: bool) {
 /// in-place overwrite.
 #[test]
 fn chunkoffset_relocating_writes_vs_reopening_readers() {
-    use molap_core::{consolidate_pipelined, AggValue, PrefetchPlan, WriteBatch};
+    use molap_core::{AggValue, WriteBatch};
     use std::sync::Barrier;
 
     const BATCHES: i64 = 10;

@@ -9,7 +9,7 @@ use std::time::Duration;
 use molap_array::ChunkFormat;
 use molap_core::{ConsolidationResult, Database, OlapArray, StarSchema};
 use molap_datagen::{generate, AttrLayout, CubeSpec};
-use molap_server::{ClientError, ErrorCode, Server, ServerClient, ServerConfig};
+use molap_server::{ClientError, ErrorCode, Server, ServerClient, ServerConfig, ServerHandle};
 
 static NEXT_DB: AtomicUsize = AtomicUsize::new(0);
 
@@ -243,8 +243,40 @@ fn slow_queries_hit_their_deadline() {
     remove_db(&path);
 }
 
+/// How long an admitted query sleeps on its worker in the drain tests.
+const DRAIN_EXECUTION_DELAY: Duration = Duration::from_millis(1000);
+
+/// Blocks until the `clients` identical queries just sent are in
+/// flight. A pair leaves outside evidence: the server coalesces the
+/// second onto the first only when the first was admitted and has not
+/// finished, so the wait is on `queries_coalesced`. A lone query leaves
+/// none before it finishes, so it gets half the execution delay as a
+/// head start (connect + accept + fingerprinting have been seen to take
+/// 240 ms while the suite's other servers keep both cores busy).
+fn wait_until_in_flight(handle: &ServerHandle, clients: usize) {
+    if clients == 1 {
+        std::thread::sleep(DRAIN_EXECUTION_DELAY / 2);
+        return;
+    }
+    let deadline = std::time::Instant::now() + Duration::from_secs(20);
+    while handle.metrics().queries_coalesced == 0 {
+        assert!(
+            std::time::Instant::now() < deadline,
+            "the in-flight queries never coalesced"
+        );
+        std::thread::sleep(Duration::from_millis(2));
+    }
+}
+
 #[test]
 fn shutdown_drains_in_flight_queries() {
+    // One in-flight query, then a coalesced pair.
+    for clients in [1, 2] {
+        drain_in_flight_queries(clients);
+    }
+}
+
+fn drain_in_flight_queries(clients: usize) {
     let path = temp_db_path("drain");
     let db = build_db(&path);
     let expected = db.sql(QUERIES[1], &["volume"]).unwrap();
@@ -252,25 +284,30 @@ fn shutdown_drains_in_flight_queries() {
         workers: 1,
         queue_capacity: 8,
         default_deadline: Duration::from_secs(30),
-        debug_execution_delay: Duration::from_millis(300),
+        debug_execution_delay: DRAIN_EXECUTION_DELAY,
     };
     let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
-        let in_flight = scope.spawn(|| {
-            let mut client = ServerClient::connect(addr).unwrap();
-            client.query(QUERIES[1])
-        });
-        // Let the in-flight query reach a worker, then ask for
-        // shutdown from a second connection.
-        std::thread::sleep(Duration::from_millis(100));
+        let in_flight: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = ServerClient::connect(addr).unwrap();
+                    client.query(QUERIES[1])
+                })
+            })
+            .collect();
+        // Once the in-flight queries have reached a worker, ask for
+        // shutdown from another connection.
+        wait_until_in_flight(&handle, clients);
         let mut admin = ServerClient::connect(addr).unwrap();
         admin.shutdown_server().unwrap();
 
-        // The in-flight query still completes with a full result.
-        let drained = in_flight.join().unwrap().unwrap();
-        assert_eq!(drained, expected);
+        // The in-flight queries still complete with a full result.
+        for query in in_flight {
+            assert_eq!(query.join().unwrap().unwrap(), expected);
+        }
     });
 
     handle.wait();
@@ -290,23 +327,34 @@ fn shutdown_drains_in_flight_queries() {
 
 #[test]
 fn queries_refused_while_draining() {
+    // One occupying query, then a coalesced pair.
+    for clients in [1, 2] {
+        refuse_while_draining(clients);
+    }
+}
+
+fn refuse_while_draining(clients: usize) {
     let path = temp_db_path("refuse");
     let db = build_db(&path);
     let config = ServerConfig {
         workers: 1,
         queue_capacity: 8,
         default_deadline: Duration::from_secs(30),
-        debug_execution_delay: Duration::from_millis(400),
+        debug_execution_delay: DRAIN_EXECUTION_DELAY,
     };
     let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
-        let occupier = scope.spawn(|| {
-            let mut client = ServerClient::connect(addr).unwrap();
-            client.query("SELECT SUM(volume) FROM sales")
-        });
-        std::thread::sleep(Duration::from_millis(100));
+        let occupiers: Vec<_> = (0..clients)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut client = ServerClient::connect(addr).unwrap();
+                    client.query("SELECT SUM(volume) FROM sales")
+                })
+            })
+            .collect();
+        wait_until_in_flight(&handle, clients);
         // Connect *before* the drain begins so the session exists.
         let mut straggler = ServerClient::connect(addr).unwrap();
         handle.begin_shutdown();
@@ -321,10 +369,13 @@ fn queries_refused_while_draining() {
             }
             Ok(_) => panic!("query during drain should have been refused"),
         }
-        assert!(
-            occupier.join().unwrap().is_ok(),
-            "in-flight query must still drain"
-        );
+        for occupier in occupiers {
+            let drained = occupier.join().unwrap();
+            assert!(
+                drained.is_ok(),
+                "in-flight query must still drain: {drained:?}"
+            );
+        }
     });
 
     handle.wait();
@@ -425,8 +476,10 @@ fn malformed_bytes_get_a_structured_error() {
     let handle = Server::start(db, "127.0.0.1:0", ServerConfig::default()).unwrap();
 
     let mut raw = std::net::TcpStream::connect(handle.local_addr()).unwrap();
-    raw.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
-    raw.write_all(&[0u8; 16]).unwrap();
+    // One write: the first 18 bytes already hold a whole (bad) header,
+    // so the server may answer and close before a second write lands.
+    raw.write_all(&[&b"GET / HTTP/1.1\r\n\r\n"[..], &[0u8; 16]].concat())
+        .unwrap();
     let (ty, payload, _) = read_frame(&mut raw)
         .unwrap()
         .expect("an error frame before close");

@@ -354,32 +354,6 @@ impl BufferPool {
         Err(StorageError::Corrupt("page pin retry limit exceeded"))
     }
 
-    /// [`BufferPool::fetch`] forced down the mutex pin path — the
-    /// pre-optimistic protocol with the lock-free probe skipped.
-    /// Functionally identical to `fetch`; kept callable so the
-    /// contention microbench and oracle tests can compare the two pin
-    /// paths on the same pool.
-    #[doc(hidden)]
-    pub fn fetch_via_mutex(&self, pid: PageId) -> Result<PageRef<'_>> {
-        for _ in 0..PIN_RETRY_LIMIT {
-            self.stats.logical_read();
-            let shard = self.shard_for(pid)?;
-            let idx = self.pin_locked(shard, pid, false)?;
-            let guard = self.frame(idx)?.data.read();
-            if guard.pid == Some(pid) {
-                return Ok(PageRef {
-                    pool: self,
-                    idx,
-                    guard,
-                });
-            }
-            drop(guard);
-            self.unpin(idx);
-            std::thread::yield_now();
-        }
-        Err(StorageError::Corrupt("page pin retry limit exceeded"))
-    }
-
     /// Fetches page `pid` for writing; the frame is marked dirty.
     pub fn fetch_mut(&self, pid: PageId) -> Result<PageMut<'_>> {
         for _ in 0..PIN_RETRY_LIMIT {

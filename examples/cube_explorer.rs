@@ -1,6 +1,6 @@
 //! The CUBE operator: every GROUP BY subset of a consolidation in one
 //! array pass plus lattice projections (the authors' [ZDN97] companion
-//! technique), with a parallel-scan comparison.
+//! technique), with a pipelined-scan comparison.
 //!
 //! ```sh
 //! cargo run --release --example cube_explorer
@@ -10,7 +10,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use molap::array::ChunkFormat;
-use molap::core::{compute_cube, consolidate_parallel, DimGrouping, OlapArray, Query};
+use molap::core::{
+    compute_cube, consolidate_pipelined, DimGrouping, OlapArray, PrefetchPlan, Query,
+};
 use molap::datagen::{generate, AttrLayout, CubeSpec};
 use molap::storage::{BufferPool, MemDisk};
 
@@ -91,15 +93,16 @@ fn main() {
          same results verified)"
     );
 
-    // Parallel scan of the finest consolidation.
-    println!("\nparallel consolidation of the finest group-by:");
+    // Pipelined scan of the finest consolidation.
+    println!("\npipelined consolidation of the finest group-by:");
     let sequential = adt.consolidate(&query).expect("seq");
-    for threads in [1, 2, 4, 8] {
+    let plan = PrefetchPlan::auto(adt.array().shape().num_chunks());
+    for workers in [1, 2, 4, 8] {
         let start = Instant::now();
-        let res = consolidate_parallel(&adt, &query, threads).expect("parallel");
+        let res = consolidate_pipelined(&adt, &query, workers, plan).expect("pipelined");
         let ms = start.elapsed().as_secs_f64() * 1e3;
         assert_eq!(res, sequential);
-        println!("  {threads} thread(s): {ms:>7.1} ms");
+        println!("  {workers} worker(s): {ms:>7.1} ms");
     }
 
     // Memory-bounded mode: identical rows under a tiny result budget.

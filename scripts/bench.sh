@@ -1,26 +1,18 @@
 #!/usr/bin/env bash
-# Performance gates: the PR 3 sharded-pool / chunk-cache / parallel
-# bench, the PR 4 prefetch-pipeline bench, the PR 5 result-cache /
-# subsumption / coalescing bench, the PR 6 write-subsystem bench, the
-# PR 8 optimistic-lock-coupling contention microbench, the PR 9
-# diff-seq streaming-decode format matrix, and the PR 10 HBI
-# crossover-selectivity sweep, writing BENCH_PR3.json ..
-# BENCH_PR6.json and BENCH_PR8.json .. BENCH_PR10.json at the repo
-# root.
+# Performance gates: the PR 5 result-cache / subsumption / coalescing
+# bench, the PR 6 write-subsystem bench and the PR 10 HBI
+# crossover-selectivity sweep, writing BENCH_PR5.json, BENCH_PR6.json
+# and BENCH_PR10.json at the repo root.
 #
 #   scripts/bench.sh            full runs (enforce the acceptance bars)
 #   scripts/bench.sh --smoke    ~30x smaller datasets (CI gate)
 #
-# Extra arguments are passed through to both bench binaries. `--out`
-# would collide between the two; use the per-bench invocations below
+# Extra arguments are passed through to every bench binary. `--out`
+# would collide between them; use the per-bench invocations below
 # directly if you need custom output paths.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cargo run -q --release --offline -p molap-bench --bin bench_pr3 -- "$@"
-cargo run -q --release --offline -p molap-bench --bin bench_pr4 -- "$@"
 cargo run -q --release --offline -p molap-bench --bin bench_pr5 -- "$@"
 cargo run -q --release --offline -p molap-bench --bin bench_pr6 -- "$@"
-cargo run -q --release --offline -p molap-bench --bin bench_pr8 -- "$@"
-cargo run -q --release --offline -p molap-bench --bin bench_pr9 -- "$@"
 cargo run -q --release --offline -p molap-bench --bin bench_pr10 -- "$@"

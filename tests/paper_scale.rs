@@ -8,8 +8,8 @@ use std::sync::Arc;
 
 use molap::array::ChunkFormat;
 use molap::core::{
-    bitmap_consolidate, compute_cube, consolidate_parallel, starjoin_consolidate, AttrRef,
-    DimGrouping, JoinBitmapIndexes, OlapArray, Query, Selection, StarSchema,
+    bitmap_consolidate, compute_cube, consolidate_pipelined, starjoin_consolidate, AttrRef,
+    DimGrouping, JoinBitmapIndexes, OlapArray, PrefetchPlan, Query, Selection, StarSchema,
 };
 use molap::datagen::{generate, CubeSpec};
 use molap::storage::{BufferPool, MemDisk};
@@ -75,7 +75,8 @@ fn dataset2_smallest_density_full_pipeline() {
     assert_eq!(q1_res.total(), cube.total_volume());
 
     // Extended operators agree with the baseline.
-    assert_eq!(consolidate_parallel(&adt, &q1, 4).unwrap(), q1_res);
+    let plan = PrefetchPlan::auto(adt.array().shape().num_chunks());
+    assert_eq!(consolidate_pipelined(&adt, &q1, 4, plan).unwrap(), q1_res);
     assert_eq!(adt.consolidate_bounded(&q1, 16).unwrap(), q1_res);
 
     let slices = compute_cube(&adt, &q1).unwrap();

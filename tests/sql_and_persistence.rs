@@ -6,8 +6,8 @@ use std::sync::Arc;
 
 use molap::array::ChunkFormat;
 use molap::core::{
-    compute_cube, consolidate_parallel, parse_query, starjoin_consolidate, AttrRef, Database,
-    DimGrouping, OlapArray, Query, Selection, StarSchema,
+    compute_cube, consolidate_pipelined, parse_query, starjoin_consolidate, AttrRef, Database,
+    DimGrouping, OlapArray, PrefetchPlan, Query, Selection, StarSchema,
 };
 use molap::datagen::{generate, AttrLayout, CubeSpec};
 use molap::storage::{BufferPool, MemDisk};
@@ -224,7 +224,8 @@ fn advanced_operators_agree_with_consolidate() {
     ]);
     let baseline = adt.consolidate(&q).unwrap();
 
-    assert_eq!(consolidate_parallel(&adt, &q, 4).unwrap(), baseline);
+    let plan = PrefetchPlan::auto(adt.array().shape().num_chunks());
+    assert_eq!(consolidate_pipelined(&adt, &q, 4, plan).unwrap(), baseline);
     assert_eq!(adt.consolidate_bounded(&q, 10).unwrap(), baseline);
 
     let slices = compute_cube(&adt, &q).unwrap();
