@@ -14,10 +14,10 @@ use molap_storage::util::{read_u32, read_u64, write_u32, write_u64};
 use molap_storage::{BufferPool, LobId, LobStore};
 
 use crate::cache::{shared_chunk_cache, ChunkCache, ChunkKey};
-use crate::chunk::{ChunkBuilder, CompressedChunk, DenseChunk};
+use crate::chunk::{ChunkBuilder, CompressedChunk};
 use crate::geometry::Shape;
 use crate::version::{shared_version_table, ChunkSnapshot, VersionKey, VersionTable};
-use crate::{diffseq, lzw, ArrayError, Result};
+use crate::{diffseq, ArrayError, Result};
 
 /// Allocates a fresh array uid: a counter mixed with the wall clock
 /// through a SplitMix64 finalizer. Uids key chunk-version pins
@@ -38,41 +38,32 @@ fn next_array_uid() -> u64 {
     z ^ (z >> 31)
 }
 
-/// On-disk representation of each chunk.
+/// On-disk representation of each chunk. Both formats decode to a
+/// [`CompressedChunk`]. Tags 1 and 2 belonged to the dense and
+/// dense-LZW formats, which were retired from the engine; an array
+/// stored with either reopens as [`ArrayError::UnsupportedFormat`].
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum ChunkFormat {
     /// The paper's chunk-offset compression (§3.3): valid cells only,
     /// sorted `(offset, data)` pairs.
     ChunkOffset = 0,
-    /// Every cell materialized plus a validity bitmap (the naive array).
-    Dense = 1,
-    /// Dense serialization behind LZW — the generic Paradise array's
-    /// format (§3.1), kept as an ablation baseline.
-    DenseLzw = 2,
     /// Difference-sequence compression: sorted offsets delta-encoded
     /// and bit-packed per block, measures columnar (Szépkúti,
-    /// arXiv:1103.3857; see `diffseq`). Decodes to the compressed
-    /// representation; the prefetch pipeline streams it to kernels
-    /// without materializing a chunk at all.
+    /// arXiv:1103.3857; see `diffseq`). The prefetch pipeline streams
+    /// it to kernels without materializing a chunk at all.
     DiffSeq = 3,
 }
 
 impl ChunkFormat {
     /// Every format, in wire-tag order — the iteration order used by
     /// format-matrix tests and benches.
-    pub const ALL: [ChunkFormat; 4] = [
-        ChunkFormat::ChunkOffset,
-        ChunkFormat::Dense,
-        ChunkFormat::DenseLzw,
-        ChunkFormat::DiffSeq,
-    ];
+    pub const ALL: [ChunkFormat; 2] = [ChunkFormat::ChunkOffset, ChunkFormat::DiffSeq];
 
     fn from_u32(v: u32) -> Result<Self> {
         match v {
             0 => Ok(ChunkFormat::ChunkOffset),
-            1 => Ok(ChunkFormat::Dense),
-            2 => Ok(ChunkFormat::DenseLzw),
             3 => Ok(ChunkFormat::DiffSeq),
+            1 | 2 => Err(ArrayError::UnsupportedFormat(v)),
             _ => Err(ArrayError::Corrupt("unknown chunk format")),
         }
     }
@@ -83,8 +74,6 @@ impl ChunkFormat {
     pub fn name(self) -> &'static str {
         match self {
             ChunkFormat::ChunkOffset => "chunkoffset",
-            ChunkFormat::Dense => "dense",
-            ChunkFormat::DenseLzw => "denselzw",
             ChunkFormat::DiffSeq => "diffseq",
         }
     }
@@ -97,9 +86,28 @@ impl ChunkFormat {
             .filter(|c| *c != '-' && *c != '_')
             .map(|c| c.to_ascii_lowercase())
             .collect();
-        ChunkFormat::ALL
-            .into_iter()
-            .find(|f| f.name() == folded || (folded == "lzw" && *f == ChunkFormat::DenseLzw))
+        ChunkFormat::ALL.into_iter().find(|f| f.name() == folded)
+    }
+
+    /// Encodes a chunk's stored bytes; an empty chunk is an empty
+    /// object, which occupies no pages.
+    fn encode(self, chunk: &CompressedChunk) -> Vec<u8> {
+        if chunk.is_empty() {
+            return Vec::new();
+        }
+        match self {
+            ChunkFormat::ChunkOffset => chunk.to_bytes(),
+            ChunkFormat::DiffSeq => diffseq::compress(chunk),
+        }
+    }
+
+    /// Decodes a chunk's stored bytes; `limit` is the chunk's cell
+    /// count, which bounds difference-sequence offsets.
+    fn decode(self, bytes: &[u8], limit: u32) -> Result<CompressedChunk> {
+        match self {
+            ChunkFormat::ChunkOffset => CompressedChunk::from_bytes(bytes),
+            ChunkFormat::DiffSeq => diffseq::decompress_fast(bytes, limit),
+        }
     }
 }
 
@@ -107,80 +115,19 @@ impl std::str::FromStr for ChunkFormat {
     type Err = ArrayError;
 
     fn from_str(s: &str) -> Result<Self> {
-        ChunkFormat::parse(s).ok_or(ArrayError::Corrupt("unknown chunk format"))
-    }
-}
-
-/// A decoded chunk in whichever representation it was stored.
-#[derive(Clone, Debug)]
-pub enum Chunk {
-    /// Chunk-offset compressed.
-    Compressed(CompressedChunk),
-    /// Dense (possibly decoded from LZW).
-    Dense(DenseChunk),
-}
-
-impl Chunk {
-    /// Number of valid cells.
-    pub fn valid_cells(&self) -> u64 {
-        match self {
-            Chunk::Compressed(c) => c.len() as u64,
-            Chunk::Dense(d) => d.valid_cells(),
-        }
-    }
-
-    /// Probes for a cell at `offset`.
-    #[inline]
-    pub fn probe(&self, offset: u32) -> Option<&[i64]> {
-        match self {
-            Chunk::Compressed(c) => c.probe(offset),
-            Chunk::Dense(d) => d.probe(offset),
-        }
-    }
-
-    /// Calls `f(offset, measures)` for every valid cell in offset order.
-    pub fn for_each_valid<F: FnMut(u32, &[i64])>(&self, mut f: F) {
-        match self {
-            Chunk::Compressed(c) => {
-                for (off, v) in c.iter() {
-                    f(off, v);
-                }
-            }
-            Chunk::Dense(d) => {
-                for (off, v) in d.iter_valid() {
-                    f(off, v);
-                }
-            }
-        }
-    }
-
-    /// Converts to the compressed representation (cheap if already so).
-    pub fn into_compressed(self) -> CompressedChunk {
-        match self {
-            Chunk::Compressed(c) => c,
-            Chunk::Dense(d) => d.compress(),
-        }
-    }
-
-    /// Decoded in-memory footprint in bytes — the accounting unit for
-    /// the decoded-chunk cache's byte cap.
-    pub fn decoded_bytes(&self) -> usize {
-        match self {
-            Chunk::Compressed(c) => c.byte_size(),
-            Chunk::Dense(d) => d.byte_size(),
-        }
+        ChunkFormat::parse(s).ok_or_else(|| ArrayError::UnknownFormat(s.to_string()))
     }
 }
 
 /// What a prefetch producer hands a pipeline consumer: a decoded chunk,
 /// or — on the DiffSeq streaming path — the chunk's validated encoded
 /// bytes, which the consumer unpacks block by block through a
-/// `diffseq::DiffSeqCursor` without ever materializing a [`Chunk`].
+/// `diffseq::DiffSeqCursor` without ever materializing a chunk.
 #[derive(Clone)]
 pub enum ChunkPayload {
-    /// A fully decoded chunk (all materializing paths: non-DiffSeq
-    /// formats, empty chunks, version pins, chunk-cache hits).
-    Chunk(Arc<Chunk>),
+    /// A fully decoded chunk (all materializing paths: chunk-offset
+    /// chunks, empty chunks, version pins, chunk-cache hits).
+    Chunk(Arc<CompressedChunk>),
     /// A DiffSeq chunk's encoded bytes, structurally validated by the
     /// producer (`diffseq::validate`).
     DiffSeq(Arc<Vec<u8>>),
@@ -189,27 +136,23 @@ pub enum ChunkPayload {
 impl ChunkPayload {
     /// Materializes the payload into a decoded chunk (identity for
     /// [`ChunkPayload::Chunk`]); `limit` is the chunk's cell count.
-    pub fn into_chunk(self, limit: u32) -> Result<Arc<Chunk>> {
+    pub fn into_chunk(self, limit: u32) -> Result<Arc<CompressedChunk>> {
         match self {
             ChunkPayload::Chunk(c) => Ok(c),
-            ChunkPayload::DiffSeq(bytes) => Ok(Arc::new(Chunk::Compressed(
-                diffseq::decompress_fast(&bytes, limit)?,
-            ))),
+            ChunkPayload::DiffSeq(bytes) => Ok(Arc::new(diffseq::decompress_fast(&bytes, limit)?)),
         }
     }
 }
 
 /// Reusable buffers for the chunk loader: one per prefetcher thread, so
-/// the pipeline's per-chunk page span, LOB byte, and decode allocations
-/// are paid once per query instead of once per chunk.
+/// the pipeline's per-chunk page span and LOB byte allocations are
+/// paid once per query instead of once per chunk.
 #[derive(Default)]
 pub struct PrefetchScratch {
     /// Whole-page span target for bypass reads.
     span: Vec<u8>,
     /// The chunk's LOB bytes (encoded form).
     bytes: Vec<u8>,
-    /// Decode output (LZW expansion) scratch.
-    raw: Vec<u8>,
 }
 
 /// A chunked n-dimensional array stored on buffer-pool pages.
@@ -279,26 +222,13 @@ impl ChunkedArray {
         self.lobs.pool()
     }
 
-    /// Materializes an empty chunk in the array's format.
-    fn empty_chunk(&self) -> Chunk {
-        match self.format {
-            ChunkFormat::ChunkOffset | ChunkFormat::DiffSeq => {
-                Chunk::Compressed(CompressedChunk::empty(self.n_measures))
-            }
-            _ => Chunk::Dense(DenseChunk::new(
-                self.shape.chunk_cells() as usize,
-                self.n_measures,
-            )),
-        }
-    }
-
     /// Reads and decodes chunk `chunk_no`.
     ///
     /// Decoded chunks are served from (and inserted into) the pool's
     /// shared [`ChunkCache`], so repeated reads of a hot chunk skip both
     /// the buffer pool and the codec. Empty chunks are materialized
     /// fresh and never cached.
-    pub fn read_chunk(&self, chunk_no: u64) -> Result<Arc<Chunk>> {
+    pub fn read_chunk(&self, chunk_no: u64) -> Result<Arc<CompressedChunk>> {
         self.read_chunk_at(chunk_no, None)
     }
 
@@ -313,14 +243,16 @@ impl ChunkedArray {
         &self,
         chunk_no: u64,
         snap: Option<&ChunkSnapshot>,
-    ) -> Result<Option<Arc<Chunk>>> {
+    ) -> Result<Option<Arc<CompressedChunk>>> {
         let id = LobId(chunk_no as u32);
         if self.lobs.object_len(id)? == 0 {
-            return Ok(Some(Arc::new(self.empty_chunk())));
+            return Ok(Some(Arc::new(CompressedChunk::empty(self.n_measures))));
         }
         let pool = self.lobs.pool();
         let hit = match self.cache.as_deref() {
-            Some(cache) => cache.get_tracked(&self.chunk_key(id)?, pool.epoch(), pool.stats()),
+            Some(cache) => {
+                cache.get_tracked(&self.chunk_key(chunk_no)?, pool.epoch(), pool.stats())
+            }
             None => None,
         };
         // The pin is checked *after* the cache: a commit published
@@ -344,7 +276,11 @@ impl ChunkedArray {
     /// the current generation (in-flight unpublished writes are still
     /// shielded by their provisional pins). The bytes come through the
     /// buffer pool and are always decoded.
-    pub fn read_chunk_at(&self, chunk_no: u64, snap: Option<&ChunkSnapshot>) -> Result<Arc<Chunk>> {
+    pub fn read_chunk_at(
+        &self,
+        chunk_no: u64,
+        snap: Option<&ChunkSnapshot>,
+    ) -> Result<Arc<CompressedChunk>> {
         let mut scratch = PrefetchScratch::default();
         self.load_chunk(chunk_no, &mut scratch, snap, false)?
             .into_chunk(self.diffseq_limit())
@@ -431,7 +367,8 @@ impl ChunkedArray {
             let attempt = if keep_encoded {
                 diffseq::validate(&scratch.bytes, self.diffseq_limit()).map(|()| None)
             } else {
-                self.decode_chunk(&scratch.bytes, &mut scratch.raw)
+                self.format
+                    .decode(&scratch.bytes, self.diffseq_limit())
                     .map(Some)
             };
             match attempt {
@@ -460,10 +397,10 @@ impl ChunkedArray {
         let chunk = Arc::new(chunk);
         if let Some(cache) = self.cache.as_deref() {
             let evicted = cache.insert(
-                self.chunk_key(id)?,
+                self.chunk_key(chunk_no)?,
                 epoch,
                 chunk.clone(),
-                chunk.decoded_bytes(),
+                chunk.byte_size(),
                 || pins_taken() == pins,
             );
             let stats = self.lobs.pool().stats();
@@ -487,7 +424,11 @@ impl ChunkedArray {
     /// Resolves `key` through the version table: at the snapshot's
     /// generation when one is given, at the current commit generation
     /// otherwise. `None` means the on-disk bytes are the right image.
-    fn resolve_version(&self, key: VersionKey, snap: Option<&ChunkSnapshot>) -> Option<Arc<Chunk>> {
+    fn resolve_version(
+        &self,
+        key: VersionKey,
+        snap: Option<&ChunkSnapshot>,
+    ) -> Option<Arc<CompressedChunk>> {
         match snap {
             Some(s) => s.chunk(key),
             None => self
@@ -497,9 +438,11 @@ impl ChunkedArray {
         }
     }
 
-    /// The chunk's cache key: its current disk location.
-    fn chunk_key(&self, id: LobId) -> Result<ChunkKey> {
-        let (start_page, byte_off, len) = self.lobs.location(id)?;
+    /// Chunk `chunk_no`'s cache key: its current disk location. An
+    /// overwrite that keeps the byte length (an update of existing
+    /// cells) rewrites the object in place and keeps the key.
+    pub fn chunk_key(&self, chunk_no: u64) -> Result<ChunkKey> {
+        let (start_page, byte_off, len) = self.lobs.location(LobId(chunk_no as u32))?;
         Ok(ChunkKey {
             start_page,
             byte_off,
@@ -511,57 +454,6 @@ impl ChunkedArray {
     /// (every `Shape` guarantees it fits `u32`).
     fn diffseq_limit(&self) -> u32 {
         self.shape.chunk_cells() as u32
-    }
-
-    /// Decodes a chunk's stored bytes; `raw` is the caller's reusable
-    /// LZW expansion buffer.
-    fn decode_chunk(&self, bytes: &[u8], raw: &mut Vec<u8>) -> Result<Chunk> {
-        match self.format {
-            ChunkFormat::ChunkOffset => Ok(Chunk::Compressed(CompressedChunk::from_bytes(bytes)?)),
-            ChunkFormat::Dense => Ok(Chunk::Dense(DenseChunk::from_bytes(bytes)?)),
-            ChunkFormat::DenseLzw => {
-                lzw::decompress_fast_into(bytes, raw)?;
-                Ok(Chunk::Dense(DenseChunk::from_bytes(raw)?))
-            }
-            ChunkFormat::DiffSeq => Ok(Chunk::Compressed(diffseq::decompress_fast(
-                bytes,
-                self.diffseq_limit(),
-            )?)),
-        }
-    }
-
-    fn encode_chunk(&self, chunk: &Chunk) -> Vec<u8> {
-        match (self.format, chunk) {
-            (ChunkFormat::ChunkOffset, Chunk::Compressed(c)) => {
-                if c.is_empty() {
-                    Vec::new()
-                } else {
-                    c.to_bytes()
-                }
-            }
-            (ChunkFormat::Dense, Chunk::Dense(d)) => {
-                if d.valid_cells() == 0 {
-                    Vec::new()
-                } else {
-                    d.to_bytes()
-                }
-            }
-            (ChunkFormat::DenseLzw, Chunk::Dense(d)) => {
-                if d.valid_cells() == 0 {
-                    Vec::new()
-                } else {
-                    lzw::compress(&d.to_bytes())
-                }
-            }
-            (ChunkFormat::DiffSeq, Chunk::Compressed(c)) => {
-                if c.is_empty() {
-                    Vec::new()
-                } else {
-                    diffseq::compress(c)
-                }
-            }
-            _ => unreachable!("chunk representation does not match array format"),
-        }
     }
 
     /// Reads the measures of the cell at `coords`, if valid.
@@ -638,30 +530,18 @@ impl ChunkedArray {
             .iter()
             .map(|(off, _)| chunk.probe(*off).map(|v| v.to_vec()))
             .collect();
-        let new_chunk = match &*chunk {
-            Chunk::Compressed(c) => {
-                let mut edited: Vec<u32> = edits.iter().map(|(off, _)| *off).collect();
-                edited.sort_unstable();
-                let mut b = ChunkBuilder::new(self.n_measures);
-                for (off, v) in c.iter() {
-                    if edited.binary_search(&off).is_err() {
-                        b.add(off, v);
-                    }
-                }
-                for (off, values) in edits {
-                    b.add(*off, values);
-                }
-                Chunk::Compressed(b.build()?)
+        let mut edited: Vec<u32> = edits.iter().map(|(off, _)| *off).collect();
+        edited.sort_unstable();
+        let mut b = ChunkBuilder::new(self.n_measures);
+        for (off, v) in chunk.iter() {
+            if edited.binary_search(&off).is_err() {
+                b.add(off, v);
             }
-            Chunk::Dense(d) => {
-                let mut d = d.clone();
-                for (off, values) in edits {
-                    d.set(*off, values);
-                }
-                Chunk::Dense(d)
-            }
-        };
-        let bytes = self.encode_chunk(&new_chunk);
+        }
+        for (off, values) in edits {
+            b.add(*off, values);
+        }
+        let bytes = self.format.encode(&b.build()?);
         let id = LobId(chunk_no as u32);
         // Order matters: pin the pre-image first (readers racing the
         // overwrite resolve to it — even a fresh chunk pins its empty
@@ -674,8 +554,7 @@ impl ChunkedArray {
         }
         if self.lobs.object_len(id)? != 0 {
             if let Some(cache) = self.cache.as_deref() {
-                let key = self.chunk_key(id)?;
-                cache.remove(&key);
+                cache.remove(&self.chunk_key(chunk_no)?);
             }
         }
         self.lobs.overwrite(id, &bytes)?;
@@ -690,13 +569,17 @@ impl ChunkedArray {
     /// place while the bytes go back, so racing readers remain
     /// shielded; the caller drops the pins afterwards with
     /// [`ChunkedArray::rollback_writes`].
-    pub fn restore_chunk(&mut self, chunk_no: u64, pre: &Chunk, cells_added: u64) -> Result<()> {
-        let bytes = self.encode_chunk(pre);
+    pub fn restore_chunk(
+        &mut self,
+        chunk_no: u64,
+        pre: &CompressedChunk,
+        cells_added: u64,
+    ) -> Result<()> {
+        let bytes = self.format.encode(pre);
         let id = LobId(chunk_no as u32);
         if self.lobs.object_len(id)? != 0 {
             if let Some(cache) = self.cache.as_deref() {
-                let key = self.chunk_key(id)?;
-                cache.remove(&key);
+                cache.remove(&self.chunk_key(chunk_no)?);
             }
         }
         self.lobs.overwrite(id, &bytes)?;
@@ -737,19 +620,6 @@ impl ChunkedArray {
         }
     }
 
-    /// Calls `f(chunk_no, chunk)` for every chunk in chunk-number order
-    /// (which is also disk order).
-    pub fn for_each_chunk<F>(&self, mut f: F) -> Result<()>
-    where
-        F: FnMut(u64, &Chunk),
-    {
-        for chunk_no in 0..self.shape.num_chunks() {
-            let chunk = self.read_chunk(chunk_no)?;
-            f(chunk_no, &chunk);
-        }
-        Ok(())
-    }
-
     /// Calls `f(coords, measures)` for every valid cell, in chunk order
     /// then offset order.
     pub fn for_each_cell<F>(&self, mut f: F) -> Result<()>
@@ -758,12 +628,10 @@ impl ChunkedArray {
     {
         let mut coords = vec![0u32; self.shape.n_dims()];
         for chunk_no in 0..self.shape.num_chunks() {
-            let chunk = self.read_chunk(chunk_no)?;
-            let shape = &self.shape;
-            chunk.for_each_valid(|offset, values| {
-                shape.decode(chunk_no, offset, &mut coords);
+            for (offset, values) in self.read_chunk(chunk_no)?.iter() {
+                self.shape.decode(chunk_no, offset, &mut coords);
                 f(&coords, values);
-            });
+            }
         }
         Ok(())
     }
@@ -794,16 +662,14 @@ impl ChunkedArray {
             let chunk_no: u64 = (0..n)
                 .map(|d| grid[d] as u64 * self.shape.chunk_stride(d))
                 .sum();
-            let chunk = self.read_chunk(chunk_no)?;
-            let shape = &self.shape;
-            chunk.for_each_valid(|offset, values| {
-                shape.decode(chunk_no, offset, &mut coords);
+            for (offset, values) in self.read_chunk(chunk_no)?.iter() {
+                self.shape.decode(chunk_no, offset, &mut coords);
                 if (0..n).all(|d| lo[d] <= coords[d] && coords[d] <= hi[d]) {
                     for (s, &v) in sums.iter_mut().zip(values) {
                         *s += v;
                     }
                 }
-            });
+            }
             // Advance the odometer.
             let mut d = n;
             loop {
@@ -967,48 +833,19 @@ impl ArrayBuilder {
         let versions = shared_version_table(&pool);
         let lobs = LobStore::new(pool);
         let valid_cells = positions.len() as u64;
-        let chunk_cells = shape.chunk_cells() as usize;
         let mut cursor = 0usize;
         for chunk_no in 0..shape.num_chunks() {
             let start = cursor;
             while cursor < order.len() && positions[order[cursor] as usize].0 == chunk_no {
                 cursor += 1;
             }
-            let entries = &order[start..cursor];
-            let bytes = if entries.is_empty() {
-                Vec::new()
-            } else {
-                match format {
-                    ChunkFormat::ChunkOffset | ChunkFormat::DiffSeq => {
-                        let mut b = ChunkBuilder::new(n_measures);
-                        for &i in entries {
-                            let (_, off) = positions[i as usize];
-                            let vi = i as usize * n_measures;
-                            b.add(off, &values[vi..vi + n_measures]);
-                        }
-                        let chunk = b.build()?;
-                        if format == ChunkFormat::DiffSeq {
-                            diffseq::compress(&chunk)
-                        } else {
-                            chunk.to_bytes()
-                        }
-                    }
-                    ChunkFormat::Dense | ChunkFormat::DenseLzw => {
-                        let mut d = DenseChunk::new(chunk_cells, n_measures);
-                        for &i in entries {
-                            let (_, off) = positions[i as usize];
-                            let vi = i as usize * n_measures;
-                            d.set(off, &values[vi..vi + n_measures]);
-                        }
-                        let raw = d.to_bytes();
-                        if format == ChunkFormat::DenseLzw {
-                            lzw::compress(&raw)
-                        } else {
-                            raw
-                        }
-                    }
-                }
-            };
+            let mut b = ChunkBuilder::new(n_measures);
+            for &i in &order[start..cursor] {
+                let (_, off) = positions[i as usize];
+                let vi = i as usize * n_measures;
+                b.add(off, &values[vi..vi + n_measures]);
+            }
+            let bytes = format.encode(&b.build()?);
             lobs.append(&bytes)?;
         }
         debug_assert_eq!(lobs.len() as u64, shape.num_chunks());
@@ -1149,8 +986,8 @@ mod tests {
     }
 
     #[test]
-    fn set_works_on_dense_formats() {
-        for format in [ChunkFormat::Dense, ChunkFormat::DenseLzw] {
+    fn set_works_on_every_format() {
+        for format in ChunkFormat::ALL {
             let mut a = build_sample(format);
             a.set(&[1, 0, 0], &[42]).unwrap();
             assert_eq!(a.get(&[1, 0, 0]).unwrap(), Some(vec![42]));
@@ -1252,6 +1089,35 @@ mod tests {
     }
 
     #[test]
+    fn retired_format_tags_reopen_as_unsupported() {
+        let a = build_sample(ChunkFormat::ChunkOffset);
+        let meta = a.meta_to_bytes();
+        let reopen = |tag: u32| {
+            let mut patched = meta.clone();
+            write_u32(&mut patched, 4, tag);
+            ChunkedArray::from_meta_bytes(a.pool().clone(), &patched).err()
+        };
+        for tag in [1, 2] {
+            assert!(
+                matches!(reopen(tag), Some(ArrayError::UnsupportedFormat(t)) if t == tag),
+                "tag {tag}"
+            );
+        }
+        assert!(matches!(reopen(7), Some(ArrayError::Corrupt(_))));
+        assert!(reopen(0).is_none());
+        // A typed name is a user error, not corrupt data.
+        for name in ["dense", "denselzw", "lzw"] {
+            assert!(
+                matches!(name.parse::<ChunkFormat>(), Err(ArrayError::UnknownFormat(n)) if n == name)
+            );
+        }
+        assert_eq!(
+            "Chunk-Offset".parse::<ChunkFormat>().ok(),
+            Some(ChunkFormat::ChunkOffset)
+        );
+    }
+
+    #[test]
     fn read_chunk_hits_the_decoded_cache() {
         let p = pool();
         let shape = Shape::new(vec![8], vec![4]).unwrap();
@@ -1317,7 +1183,7 @@ mod tests {
                     "{format:?}"
                 );
                 let got = payload.into_chunk(4096).unwrap();
-                assert_eq!(got.valid_cells(), expect0.valid_cells());
+                assert_eq!(got.len(), expect0.len());
                 for x in (0..4096u32).step_by(3) {
                     assert_eq!(got.probe(x), Some(&[x as i64 * 7][..]), "{format:?}");
                 }
@@ -1347,10 +1213,12 @@ mod tests {
         // snapshot makes consistent. Relocating overwrites leave the
         // old bytes intact for the frozen directory; in-place
         // overwrites are bridged by the pinned pre-image.
-        for format in [
-            ChunkFormat::ChunkOffset,
-            ChunkFormat::Dense,
-            ChunkFormat::DiffSeq,
+        for (format, in_place) in [
+            (ChunkFormat::ChunkOffset, false),
+            (ChunkFormat::DiffSeq, false),
+            // An update of existing cells keeps the chunk's byte
+            // length, so `LobStore::overwrite` rewrites it in place.
+            (ChunkFormat::ChunkOffset, true),
         ] {
             let mut a = build_sample(format);
             let reader =
@@ -1362,16 +1230,27 @@ mod tests {
                 .probe(offset)
                 .unwrap()
                 .to_vec();
+            let location = a.chunk_key(chunk_no).unwrap();
             let vt = shared_version_table(a.pool()).unwrap();
             let snap = vt.begin_snapshot();
 
             // Unpublished batch: the pin shields both snapshotted and
             // unsnapshotted readers from the half-committed bytes.
-            let olds = a
-                .apply_chunk_writes(chunk_no, &[(offset, vec![4242]), (offset + 1, vec![17])])
-                .unwrap();
+            let mut edits = vec![(offset, vec![4242])];
+            if !in_place {
+                edits.push((offset + 1, vec![17]));
+            }
+            let olds = a.apply_chunk_writes(chunk_no, &edits).unwrap();
             assert_eq!(olds[0].as_deref(), Some(&old[..]));
-            assert_eq!(olds[1], None, "offset+1 was invalid in the sample");
+            assert!(
+                olds[1..].iter().all(Option::is_none),
+                "offset+1 was invalid"
+            );
+            assert_eq!(
+                a.chunk_key(chunk_no).unwrap() == location,
+                in_place,
+                "{format:?}: only an update of existing cells stays in place"
+            );
             let via_snap = reader.read_chunk_at(chunk_no, Some(&snap)).unwrap();
             assert_eq!(via_snap.probe(offset), Some(&old[..]), "{format:?}");
             assert_eq!(via_snap.probe(offset + 1), None);
@@ -1383,7 +1262,8 @@ mod tests {
             a.publish_writes();
             let via_writer = a.read_chunk(chunk_no).unwrap();
             assert_eq!(via_writer.probe(offset), Some(&[4242i64][..]));
-            assert_eq!(via_writer.probe(offset + 1), Some(&[17i64][..]));
+            let inserted = (!in_place).then_some(&[17i64][..]);
+            assert_eq!(via_writer.probe(offset + 1), inserted);
             let via_snap = reader.read_chunk_at(chunk_no, Some(&snap)).unwrap();
             assert_eq!(via_snap.probe(offset), Some(&old[..]));
             assert_eq!(via_snap.probe(offset + 1), None);
@@ -1393,9 +1273,9 @@ mod tests {
                 .and_then(|payload| payload.into_chunk(u32::MAX))
                 .unwrap();
             assert_eq!(via_prefetch.probe(offset), Some(&old[..]));
-            if format == ChunkFormat::Dense {
-                // Dense overwrites are in-place, so even the frozen
-                // reader directory reads the published bytes.
+            if in_place {
+                // In place, even the frozen reader directory reads the
+                // published bytes.
                 let via_reader = reader.read_chunk(chunk_no).unwrap();
                 assert_eq!(via_reader.probe(offset), Some(&[4242i64][..]));
             }
@@ -1411,11 +1291,11 @@ mod tests {
         // The loader's last step when a writer pins between the
         // reader's final pin check and its cache insert: the insert is
         // conditional on the pin counter sampled before the read.
-        let mut a = build_sample(ChunkFormat::Dense);
+        let mut a = build_sample(ChunkFormat::ChunkOffset);
         let vt = shared_version_table(a.pool()).unwrap();
         let cache = shared_chunk_cache(a.pool()).unwrap();
         let (chunk_no, offset) = a.shape().locate(&[0, 0, 0]).unwrap();
-        let key = a.chunk_key(LobId(chunk_no as u32)).unwrap();
+        let key = a.chunk_key(chunk_no).unwrap();
         let vkey = a.version_key(chunk_no);
         let epoch = a.pool().epoch();
 
@@ -1430,12 +1310,14 @@ mod tests {
 
         let sampled = vt.pins_taken(vkey);
         let stale = a.read_chunk(chunk_no).unwrap();
-        // The writer pins, drops the cached decode, overwrites in place.
+        // The writer pins, drops the cached decode, overwrites in place
+        // (an update of an existing cell keeps the byte length).
         a.apply_chunk_writes(chunk_no, &[(offset, vec![4242])])
             .unwrap();
+        assert_eq!(a.chunk_key(chunk_no).unwrap(), key, "not in place");
         assert!(cache.get(&key, epoch).is_none());
         let unwritten = || vt.pins_taken(vkey) == sampled;
-        cache.insert(key, epoch, stale.clone(), stale.decoded_bytes(), unwritten);
+        cache.insert(key, epoch, stale.clone(), stale.byte_size(), unwritten);
         assert!(
             cache.get(&key, epoch).is_none(),
             "a pre-write image came back behind the pin"
@@ -1474,7 +1356,9 @@ mod tests {
 
     #[test]
     fn storage_footprint_ordering() {
-        // On sparse data: chunk-offset < lzw(dense) < dense (§3.3).
+        // On sparse data: diff-seq < chunk-offset < lzw(dense) < dense
+        // (§3.3). The two dense baselines encode the chunk-offset
+        // array's own non-empty chunks.
         let shape = Shape::new(vec![40, 40, 40], vec![20, 20, 20]).unwrap();
         // 1% density, scattered, deduplicated.
         let mut coords = std::collections::BTreeSet::new();
@@ -1489,22 +1373,31 @@ mod tests {
                 ((x >> 16) % 40) as u32,
             ]);
         }
-        let mut sizes = Vec::new();
-        for format in [
-            ChunkFormat::DiffSeq,
-            ChunkFormat::ChunkOffset,
-            ChunkFormat::DenseLzw,
-            ChunkFormat::Dense,
-        ] {
+        let build = |format| {
             let mut b = ArrayBuilder::new(shape.clone(), 1, format);
             for c in &coords {
                 b.add(c, &[1]).unwrap();
             }
-            let a = b.build(pool()).unwrap();
-            sizes.push((format, a.total_bytes()));
+            b.build(pool()).unwrap()
+        };
+        let offset = build(ChunkFormat::ChunkOffset);
+        let (mut dense, mut lzw) = (0, 0);
+        for chunk_no in 0..shape.num_chunks() {
+            let chunk = offset.read_chunk(chunk_no).unwrap();
+            if !chunk.is_empty() {
+                let raw = chunk.to_dense(shape.chunk_cells() as usize).to_bytes();
+                lzw += crate::lzw::compress(&raw).len() as u64;
+                dense += raw.len() as u64;
+            }
         }
+        let sizes = [
+            build(ChunkFormat::DiffSeq).total_bytes(),
+            offset.total_bytes(),
+            lzw,
+            dense,
+        ];
         assert!(
-            sizes[0].1 < sizes[1].1 && sizes[1].1 < sizes[2].1 && sizes[2].1 < sizes[3].1,
+            sizes.windows(2).all(|w| w[0] < w[1]),
             "expected diff-seq < chunk-offset < lzw < dense, got {sizes:?}"
         );
     }

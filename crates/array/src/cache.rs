@@ -1,11 +1,12 @@
-//! Decoded-chunk cache: `Arc<Chunk>` by disk location, bounded by bytes.
+//! Decoded-chunk cache: `Arc<CompressedChunk>` by disk location, bounded
+//! by bytes.
 //!
-//! `ChunkedArray::read_chunk` pays a parse (and for `DenseLzw` a full
-//! LZW decompression) on every access, even when the underlying pages
+//! `ChunkedArray::read_chunk` pays a parse (and for `DiffSeq` a gap
+//! unpack) on every access, even when the underlying pages
 //! are already hot in the buffer pool — so repeated consolidations,
 //! point probes, and §4.2 selection binary-searches re-decode the same
 //! bytes over and over. This cache keeps recently decoded chunks as
-//! shared `Arc<Chunk>`s so hot reads skip both the pool and the codec.
+//! shared `Arc<CompressedChunk>`s so hot reads skip both the pool and the codec.
 //!
 //! One cache is attached *per buffer pool* (via the pool's extension
 //! slot, see [`shared_chunk_cache`]) so every `ChunkedArray` opened over
@@ -37,7 +38,7 @@
 //! Hot gets never take the shard `chunks` mutex. Each shard keeps a
 //! lock-free mirror of up to [`SLOTS_PER_SHARD`] entries: an
 //! [`AtomicIndex`] mapping a key hash to a slot, where each slot is a
-//! tiny `chunk_slot` mutex over `(key, epoch, Arc<Chunk>)`. A get runs
+//! tiny `chunk_slot` mutex over `(key, epoch, Arc<CompressedChunk>)`. A get runs
 //! under a [`OptLock`] (`chunks_v`) optimistic guard: probe the index,
 //! lock the slot (per-entry, essentially uncontended), compare the
 //! *full* key and epoch, clone the `Arc` out, and validate the guard.
@@ -61,7 +62,7 @@ use molap_storage::util::fib_shard;
 use molap_storage::{AtomicIndex, BufferPool, IoStats, OptLock, OptProbe, OptRead};
 use parking_lot::Mutex;
 
-use crate::Chunk;
+use crate::CompressedChunk;
 
 /// Cache key: the chunk object's disk location.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -89,7 +90,7 @@ impl ChunkKey {
 }
 
 struct CacheEntry {
-    chunk: Arc<Chunk>,
+    chunk: Arc<CompressedChunk>,
     bytes: usize,
     epoch: u64,
     referenced: bool,
@@ -106,7 +107,7 @@ const SLOTS_PER_SHARD: usize = 64;
 struct SlotData {
     key: ChunkKey,
     epoch: u64,
-    chunk: Arc<Chunk>,
+    chunk: Arc<CompressedChunk>,
 }
 
 /// One mirror slot. The field name `chunk_slot` is load-bearing: it is
@@ -276,17 +277,27 @@ impl ChunkCache {
 
     /// Looks up `key`, treating entries stamped with an epoch other
     /// than `epoch` as cold (they are dropped on the spot).
-    pub fn get(&self, key: &ChunkKey, epoch: u64) -> Option<Arc<Chunk>> {
+    pub fn get(&self, key: &ChunkKey, epoch: u64) -> Option<Arc<CompressedChunk>> {
         self.get_with(key, epoch, None)
     }
 
     /// [`ChunkCache::get`], recording the optimistic probe's outcome
     /// (reads / restarts / escalations) into `stats`.
-    pub fn get_tracked(&self, key: &ChunkKey, epoch: u64, stats: &IoStats) -> Option<Arc<Chunk>> {
+    pub fn get_tracked(
+        &self,
+        key: &ChunkKey,
+        epoch: u64,
+        stats: &IoStats,
+    ) -> Option<Arc<CompressedChunk>> {
         self.get_with(key, epoch, Some(stats))
     }
 
-    fn get_with(&self, key: &ChunkKey, epoch: u64, stats: Option<&IoStats>) -> Option<Arc<Chunk>> {
+    fn get_with(
+        &self,
+        key: &ChunkKey,
+        epoch: u64,
+        stats: Option<&IoStats>,
+    ) -> Option<Arc<CompressedChunk>> {
         let shard = self.shard(key);
         match Self::get_opt(shard, key, epoch) {
             OptRead::Hit { value, restarts } => {
@@ -314,7 +325,7 @@ impl ChunkCache {
     /// guard. Hits are self-validating (full key + epoch compared under
     /// the slot mutex); a miss only means "not answerable without the
     /// shard mutex".
-    fn get_opt(shard: &CacheShard, key: &ChunkKey, epoch: u64) -> OptRead<Arc<Chunk>> {
+    fn get_opt(shard: &CacheShard, key: &ChunkKey, epoch: u64) -> OptRead<Arc<CompressedChunk>> {
         let hash = key.hash64();
         shard.chunks_v.optimistic_read(|_guard| {
             let Some(idx) = shard.index.probe(hash) else {
@@ -340,7 +351,12 @@ impl ChunkCache {
 
     /// The mutex path: authoritative lookup, eager stale-entry drop,
     /// and the only server of overflow (unmirrored) entries.
-    fn get_locked(&self, shard: &CacheShard, key: &ChunkKey, epoch: u64) -> Option<Arc<Chunk>> {
+    fn get_locked(
+        &self,
+        shard: &CacheShard,
+        key: &ChunkKey,
+        epoch: u64,
+    ) -> Option<Arc<CompressedChunk>> {
         let mut m = shard.chunks.lock();
         match m.map.get_mut(key) {
             Some(entry) if entry.epoch == epoch => {
@@ -368,7 +384,7 @@ impl ChunkCache {
         &self,
         key: ChunkKey,
         epoch: u64,
-        chunk: Arc<Chunk>,
+        chunk: Arc<CompressedChunk>,
         bytes: usize,
         still_current: impl FnOnce() -> bool,
     ) -> u64 {
@@ -442,17 +458,16 @@ pub fn shared_chunk_cache(pool: &Arc<BufferPool>) -> Option<Arc<ChunkCache>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::chunk::CompressedChunk;
     use crate::ChunkBuilder;
 
-    fn chunk(cells: u32) -> (Arc<Chunk>, usize) {
+    fn chunk(cells: u32) -> (Arc<CompressedChunk>, usize) {
         let mut b = ChunkBuilder::new(1);
         for off in 0..cells {
             b.add(off, &[i64::from(off)]);
         }
         let c: CompressedChunk = b.build().unwrap();
         let bytes = c.byte_size();
-        (Arc::new(Chunk::Compressed(c)), bytes)
+        (Arc::new(c), bytes)
     }
 
     fn key(n: u64) -> ChunkKey {
@@ -469,7 +484,7 @@ mod tests {
         let (c, bytes) = chunk(10);
         assert!(cache.get(&key(1), 0).is_none());
         cache.insert(key(1), 0, c, bytes, || true);
-        assert_eq!(cache.get(&key(1), 0).unwrap().valid_cells(), 10);
+        assert_eq!(cache.get(&key(1), 0).unwrap().len(), 10);
         cache.remove(&key(1));
         assert!(cache.get(&key(1), 0).is_none());
         assert_eq!(cache.bytes(), 0);
@@ -532,10 +547,7 @@ mod tests {
         // touched `chunks` would deadlock here.
         let _m = cache.shard(&key(1)).chunks.lock();
         for _ in 0..5 {
-            assert_eq!(
-                cache.get_tracked(&key(1), 0, &stats).unwrap().valid_cells(),
-                10
-            );
+            assert_eq!(cache.get_tracked(&key(1), 0, &stats).unwrap().len(), 10);
         }
         let snap = stats.snapshot();
         assert_eq!(snap.opt_chunk_reads, 5);
@@ -593,7 +605,7 @@ mod tests {
                         } else if i % 7 == 0 {
                             cache.remove(&k);
                         } else if let Some(hit) = cache.get(&k, 0) {
-                            assert_eq!(hit.valid_cells(), 32);
+                            assert_eq!(hit.len(), 32);
                         }
                     }
                 })

@@ -8,9 +8,10 @@
 //! valid array cell" — the probe at the heart of the selection
 //! algorithm (§4.2).
 //!
-//! The dense form materializes every cell (plus a validity bitmap) and
-//! exists as the ablation baseline: it is what the generic Paradise
-//! array stores, optionally behind LZW (§3.1).
+//! The dense form materializes every cell (plus a validity bitmap). No
+//! array stores it; it is the ablation baseline, what the generic
+//! Paradise array stores, optionally behind LZW (§3.1), and it is only
+//! reached through [`CompressedChunk::to_dense`].
 
 use molap_bitmap::Bitmap;
 use molap_storage::util::{read_i64, read_u32, read_u64, write_i64, write_u32, write_u64};
@@ -113,7 +114,8 @@ impl CompressedChunk {
         &self.values[i * self.n_measures..(i + 1) * self.n_measures]
     }
 
-    /// Serialized byte size without materializing.
+    /// Serialized byte size without materializing — also the
+    /// accounting unit for the decoded-chunk cache's byte cap.
     pub fn byte_size(&self) -> usize {
         8 + self.offsets.len() * 4 + self.values.len() * 8
     }
@@ -176,7 +178,15 @@ impl CompressedChunk {
         }
     }
 
-    /// Expands into a dense chunk of `chunk_cells` cells.
+    /// Identity. `ChunkedArray::read_chunk` returns a `CompressedChunk`
+    /// in every format; this stays so that code converting a read's
+    /// result (the benchmark's codec trace) keeps compiling.
+    pub fn into_compressed(self) -> CompressedChunk {
+        self
+    }
+
+    /// Expands into a dense chunk of `chunk_cells` cells — the input of
+    /// the dense and LZW ablation baselines.
     pub fn to_dense(&self, chunk_cells: usize) -> DenseChunk {
         let mut dense = DenseChunk::new(chunk_cells, self.n_measures);
         for (off, vals) in self.iter() {
@@ -272,22 +282,6 @@ impl DenseChunk {
         self.valid.nbits()
     }
 
-    /// Decoded footprint in bytes (header + validity bitmap + values) —
-    /// the accounting unit for the decoded-chunk cache's byte cap.
-    pub fn byte_size(&self) -> usize {
-        16 + self.cells().div_ceil(8) + self.values.len() * 8
-    }
-
-    /// Measures per cell.
-    pub fn n_measures(&self) -> usize {
-        self.n_measures
-    }
-
-    /// Number of valid cells.
-    pub fn valid_cells(&self) -> u64 {
-        self.valid.count_ones()
-    }
-
     /// Writes a cell.
     pub fn set(&mut self, offset: u32, values: &[i64]) {
         assert_eq!(values.len(), self.n_measures, "measure arity");
@@ -314,21 +308,6 @@ impl DenseChunk {
                 &self.values[i * self.n_measures..(i + 1) * self.n_measures],
             )
         })
-    }
-
-    /// Compresses into chunk-offset form.
-    pub fn compress(&self) -> CompressedChunk {
-        let mut offsets = Vec::with_capacity(self.valid.count_ones() as usize);
-        let mut values = Vec::with_capacity(offsets.capacity() * self.n_measures);
-        for (off, vals) in self.iter_valid() {
-            offsets.push(off);
-            values.extend_from_slice(vals);
-        }
-        CompressedChunk {
-            n_measures: self.n_measures,
-            offsets,
-            values,
-        }
     }
 
     /// Serializes as `[cells u64][n_measures u32][validity][values]`.
@@ -471,7 +450,7 @@ mod tests {
     #[test]
     fn dense_set_probe_iter() {
         let mut d = DenseChunk::new(100, 1);
-        assert_eq!(d.valid_cells(), 0);
+        assert_eq!(d.iter_valid().count(), 0);
         d.set(10, &[7]);
         d.set(0, &[1]);
         d.set(99, &[9]);
@@ -485,17 +464,16 @@ mod tests {
         // Overwrite keeps validity.
         d.set(10, &[70]);
         assert_eq!(d.probe(10), Some(&[70i64][..]));
-        assert_eq!(d.valid_cells(), 3);
+        assert_eq!(d.iter_valid().count(), 3);
     }
 
     #[test]
-    fn dense_compress_roundtrip() {
-        let mut d = DenseChunk::new(64, 2);
-        d.set(3, &[1, 2]);
-        d.set(60, &[3, 4]);
-        let c = d.compress();
-        assert_eq!(c.len(), 2);
-        assert_eq!(c.to_dense(64), d);
+    fn to_dense_keeps_every_valid_cell() {
+        let c = sample();
+        let d = c.to_dense(128);
+        assert_eq!(d.cells(), 128);
+        assert!(d.iter_valid().eq(c.iter()));
+        assert_eq!(d.probe(51), None);
     }
 
     #[test]

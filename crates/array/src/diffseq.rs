@@ -1,9 +1,9 @@
 //! Difference-sequence chunk codec (ROADMAP item 3).
 //!
-//! The third on-disk chunk format, after chunk-offset (§3.3) and
-//! dense-LZW (§3.1): the valid cells' chunk offsets are sorted,
-//! delta-encoded, and the gaps bit-packed per fixed-size block, with
-//! the measures stored as plain columns alongside (Szépkúti,
+//! The second on-disk chunk format, beside chunk-offset (§3.3): the
+//! valid cells' chunk offsets are sorted, delta-encoded, and the gaps
+//! bit-packed per fixed-size block, with the measures stored as plain
+//! columns alongside (Szépkúti,
 //! "Difference Sequence Compression of Multidimensional Databases",
 //! arXiv:1103.3857). At the paper's sparse densities the packed gaps
 //! shrink the 4-byte offset column to one-or-two bits-per-gap-bit
@@ -31,8 +31,7 @@
 //! the bit width of its largest gap; a width-0 block (a consecutive
 //! run) has no payload bytes at all.
 //!
-//! Two decoders, mirroring the LZW pair (`lzw::decompress` /
-//! `lzw::decompress_fast_into`):
+//! Two decoders, a reference and a fast path:
 //!
 //! * [`decompress`] — the reference decoder: reads one gap at a time,
 //!   bit by bit. Simple enough to trust; the fast paths are asserted

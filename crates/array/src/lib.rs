@@ -11,10 +11,14 @@
 //!   (§3.3): a chunk stores only its valid cells as
 //!   `(offsetInChunk, data)` pairs sorted by offset, so a point probe is
 //!   a binary search and a scan touches exactly the valid cells.
-//! * [`DenseChunk`] — the uncompressed representation (every cell
-//!   materialized plus a validity bitmap), and [`lzw`] — the LZW codec
-//!   the generic Paradise array type used (§3.1); both are kept as
-//!   ablation baselines for the compression design choice.
+//! * [`diffseq`] — the second chunk codec: the same cells with their
+//!   offsets delta-encoded and bit-packed, decodable as a stream.
+//!   Chunk-offset and difference-sequence are the two formats an array
+//!   stores ([`ChunkFormat`]); both decode to a [`CompressedChunk`].
+//! * [`DenseChunk`] and [`lzw`] — the uncompressed representation and
+//!   the LZW codec of the generic Paradise array type (§3.1). No array
+//!   stores them: they are the measured baselines of the compression
+//!   ablation, fed by [`CompressedChunk::to_dense`].
 //! * [`ChunkedArray`] — the on-disk array: a chunk directory over a
 //!   large-object store, one object per chunk, chunks laid out on disk
 //!   in chunk-number order (the property the §4.2 selection algorithm's
@@ -55,7 +59,7 @@ pub mod lzw;
 mod prefetch;
 mod version;
 
-pub use array::{ArrayBuilder, Chunk, ChunkFormat, ChunkPayload, ChunkedArray, PrefetchScratch};
+pub use array::{ArrayBuilder, ChunkFormat, ChunkPayload, ChunkedArray, PrefetchScratch};
 pub use cache::{shared_chunk_cache, ChunkCache, ChunkKey};
 pub use chunk::{ChunkBuilder, CompressedChunk, DenseChunk};
 pub use geometry::Shape;
@@ -71,6 +75,11 @@ pub enum ArrayError {
     Geometry(String),
     /// A serialized chunk or directory could not be decoded.
     Corrupt(&'static str),
+    /// An array header names a chunk format this build no longer
+    /// stores: tag 1 (dense) or 2 (dense-LZW).
+    UnsupportedFormat(u32),
+    /// A chunk format name that is neither `chunkoffset` nor `diffseq`.
+    UnknownFormat(String),
     /// The pool's write path was poisoned by a failed batch whose
     /// pre-images could not be restored (see
     /// [`ChunkedArray::poison_writes`]); further writes are refused.
@@ -83,6 +92,10 @@ impl std::fmt::Display for ArrayError {
             ArrayError::Storage(e) => write!(f, "array storage error: {e}"),
             ArrayError::Geometry(msg) => write!(f, "array geometry error: {msg}"),
             ArrayError::Corrupt(what) => write!(f, "corrupt array data: {what}"),
+            ArrayError::UnsupportedFormat(tag) => {
+                write!(f, "array stored in retired chunk format {tag}")
+            }
+            ArrayError::UnknownFormat(name) => write!(f, "unknown chunk format {name:?}"),
             ArrayError::Poisoned => write!(
                 f,
                 "array write path poisoned: a failed batch could not be rolled back"

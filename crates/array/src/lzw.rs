@@ -3,9 +3,9 @@
 //! Paradise's general multi-dimensional array type "implements
 //! compression on a tile by tile basis using the LZW algorithm" (§3.1);
 //! the OLAP Array ADT deliberately replaces it with chunk-offset
-//! compression. This module keeps LZW around so the design choice is an
-//! ablation we can measure (size and decode speed of LZW-compressed
-//! dense chunks vs. chunk-offset chunks).
+//! compression. No array stores LZW; this module keeps it so the design
+//! choice is an ablation we can measure (size and decode speed of
+//! LZW-compressed dense chunks vs. chunk-offset chunks).
 //!
 //! Implementation notes: classic LZW with *fixed 16-bit codes* and a
 //! dictionary reset when the code space (65 536 entries) fills. Fixed
@@ -58,9 +58,8 @@ pub fn compress(data: &[u8]) -> Vec<u8> {
 }
 
 /// Decompresses a stream produced by [`compress`], walking each code's
-/// parent chain. The reference decoder: no engine path calls it — chunk
-/// reads use [`decompress_fast_into`], which the proptests hold to this
-/// function's output.
+/// parent chain. The reference decoder: the proptests hold
+/// [`decompress_fast`] to this function's output.
 pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     if data.len() < 8 {
         return Err(ArrayError::Corrupt("lzw header"));
@@ -147,7 +146,7 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
     Ok(out)
 }
 
-/// Span-based decompressor, the one every chunk read uses.
+/// Span-based decompressor, the one the ablation measures.
 ///
 /// Produces output identical to [`decompress`] but represents each
 /// dictionary entry as a `(start, len)` span of the output already
@@ -159,16 +158,6 @@ pub fn decompress(data: &[u8]) -> Result<Vec<u8>> {
 /// phrases are long and the memcpy wins by a wide margin. The slower
 /// chain-walk decoder stays as the reference.
 pub fn decompress_fast(data: &[u8]) -> Result<Vec<u8>> {
-    let mut out = Vec::new();
-    decompress_fast_into(data, &mut out)?;
-    Ok(out)
-}
-
-/// [`decompress_fast`] into a caller-owned buffer (cleared first), so
-/// a prefetcher thread reuses one allocation across every chunk it
-/// decodes instead of faulting in fresh zeroed pages per chunk.
-pub fn decompress_fast_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
-    out.clear();
     if data.len() < 8 {
         return Err(ArrayError::Corrupt("lzw header"));
     }
@@ -177,10 +166,10 @@ pub fn decompress_fast_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if !codes.len().is_multiple_of(2) {
         return Err(ArrayError::Corrupt("lzw code stream odd length"));
     }
-    out.reserve(orig_len);
+    let mut out = Vec::with_capacity(orig_len);
     if codes.is_empty() {
         return if orig_len == 0 {
-            Ok(())
+            Ok(out)
         } else {
             Err(ArrayError::Corrupt("lzw empty code stream"))
         };
@@ -231,7 +220,7 @@ pub fn decompress_fast_into(data: &[u8], out: &mut Vec<u8>) -> Result<()> {
     if out.len() != orig_len {
         return Err(ArrayError::Corrupt("lzw length mismatch"));
     }
-    Ok(())
+    Ok(out)
 }
 
 #[cfg(test)]

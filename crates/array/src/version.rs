@@ -67,7 +67,7 @@ use molap_storage::util::fib_shard;
 use molap_storage::BufferPool;
 use parking_lot::{Mutex, MutexGuard};
 
-use crate::array::Chunk;
+use crate::chunk::CompressedChunk;
 
 /// Logical identity of a chunk: the owning array's persistent uid plus
 /// the chunk number. Stable across relocation, unlike the chunk's
@@ -90,7 +90,7 @@ struct PinnedVersion {
     /// The commit generation whose write replaced this image; snapshots
     /// at generations strictly below it still need it.
     superseded_at: u64,
-    chunk: Arc<Chunk>,
+    chunk: Arc<CompressedChunk>,
 }
 
 struct VersionState {
@@ -106,7 +106,7 @@ struct VersionState {
     /// In-flight pre-images of unpublished batches, tagged with the
     /// writer ticket that pinned them. Kept apart from `pinned` so an
     /// unrelated writer's publish cannot unshield them.
-    provisional: HashMap<VersionKey, Vec<(u64, Arc<Chunk>)>>,
+    provisional: HashMap<VersionKey, Vec<(u64, Arc<CompressedChunk>)>>,
 }
 
 impl VersionState {
@@ -244,7 +244,7 @@ impl VersionTable {
     /// of the same key under one ticket keep the first (oldest) image,
     /// so a batch touching a chunk through several edits preserves the
     /// true pre-batch state.
-    pub fn pin_provisional(&self, writer: u64, key: VersionKey, chunk: Arc<Chunk>) {
+    pub fn pin_provisional(&self, writer: u64, key: VersionKey, chunk: Arc<CompressedChunk>) {
         let mut state = self.versions.lock();
         let entries = state.provisional.entry(key).or_default();
         if !entries.iter().any(|(w, _)| *w == writer) {
@@ -350,7 +350,7 @@ impl VersionTable {
     /// pre-image of an in-flight batch (see module docs for why that is
     /// correct for every live generation), else `None` — the on-disk
     /// bytes are current for that generation.
-    fn resolve(&self, key: VersionKey, gen: u64) -> Option<Arc<Chunk>> {
+    fn resolve(&self, key: VersionKey, gen: u64) -> Option<Arc<CompressedChunk>> {
         if self.pin_count.load(Ordering::SeqCst) == 0 {
             return None;
         }
@@ -373,7 +373,7 @@ impl VersionTable {
     /// generation: while a write batch is in flight (pinned but not yet
     /// published), readers are served the pinned pre-image instead of
     /// the possibly half-overwritten bytes.
-    pub fn resolve_current(&self, key: VersionKey) -> Option<Arc<Chunk>> {
+    pub fn resolve_current(&self, key: VersionKey) -> Option<Arc<CompressedChunk>> {
         if self.pin_count.load(Ordering::SeqCst) == 0 {
             return None;
         }
@@ -411,7 +411,7 @@ impl ChunkSnapshot {
     /// if a newer commit overwrote it or an unpublished batch is
     /// rewriting it; `None` means the on-disk bytes are the right image
     /// for this snapshot.
-    pub fn chunk(&self, key: VersionKey) -> Option<Arc<Chunk>> {
+    pub fn chunk(&self, key: VersionKey) -> Option<Arc<CompressedChunk>> {
         self.table.resolve(key, self.gen)
     }
 }
@@ -441,10 +441,10 @@ mod tests {
     use super::*;
     use crate::chunk::ChunkBuilder;
 
-    fn chunk_with(offset: u32, value: i64) -> Arc<Chunk> {
+    fn chunk_with(offset: u32, value: i64) -> Arc<CompressedChunk> {
         let mut b = ChunkBuilder::new(1);
         b.add(offset, &[value]);
-        Arc::new(Chunk::Compressed(b.build().unwrap()))
+        Arc::new(b.build().unwrap())
     }
 
     fn key(chunk_no: u64) -> VersionKey {

@@ -59,14 +59,9 @@ proptest! {
     fn array_matches_hashmap_model(
         shape in shape_strategy(),
         cells in proptest::collection::vec((proptest::collection::vec(0u32..12, 4), -100i64..100), 0..100),
-        format_sel in 0u8..4,
+        format_sel in 0usize..ChunkFormat::ALL.len(),
     ) {
-        let format = match format_sel {
-            0 => ChunkFormat::ChunkOffset,
-            1 => ChunkFormat::Dense,
-            2 => ChunkFormat::DenseLzw,
-            _ => ChunkFormat::DiffSeq,
-        };
+        let format = ChunkFormat::ALL[format_sel];
         let n = shape.n_dims();
         let mut model: HashMap<Vec<u32>, i64> = HashMap::new();
         for (raw, v) in &cells {

@@ -338,11 +338,7 @@ fn identity_matrix(smoke: bool) -> usize {
     ];
     let mut checks = 0;
     let mut reference: Vec<Option<molap_core::ConsolidationResult>> = vec![None, None];
-    for format in [
-        ChunkFormat::ChunkOffset,
-        ChunkFormat::Dense,
-        ChunkFormat::DiffSeq,
-    ] {
+    for format in ChunkFormat::ALL {
         let (adt, path) = build(&cube, &[rows / 16, 16], format);
         for (qi, q) in queries.iter().enumerate() {
             adt.set_planner_mode(PlannerMode::ForceBtree);

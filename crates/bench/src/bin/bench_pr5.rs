@@ -72,14 +72,14 @@ fn main() {
         .unwrap_or_else(|| "BENCH_PR5.json".into());
     let runs = if smoke { 5 } else { 3 };
 
-    // Same dataset points as bench_pr3/pr4: chunk_offset runs the
-    // paper's Data Set 1; dense_lzw a shorter fourth dimension so the
-    // decoded dense working set fits the cache budget.
+    // chunk_offset runs the paper's Data Set 1; diff_seq the shorter
+    // fourth dimension (50 % dense) that the retired dense-LZW case
+    // ran, at the same bars.
     let mut co_spec = CubeSpec::dataset1(100);
-    let mut lzw_spec = CubeSpec::dataset1(20);
+    let mut ds_spec = CubeSpec::dataset1(20);
     if smoke {
         co_spec.valid_cells = 200_000;
-        lzw_spec.valid_cells = 100_000;
+        ds_spec.valid_cells = 100_000;
     }
     let fine = Query::new(vec![DimGrouping::Level(0); 4]);
     let coarse = Query::new(vec![
@@ -91,7 +91,7 @@ fn main() {
 
     let formats = [
         ("chunk_offset", ChunkFormat::ChunkOffset, &co_spec),
-        ("dense_lzw", ChunkFormat::DenseLzw, &lzw_spec),
+        ("diff_seq", ChunkFormat::DiffSeq, &ds_spec),
     ];
     let mut results = Vec::new();
     for (name, format, spec) in formats {

@@ -9,7 +9,7 @@
 //! repro fig9        Query 2 on 40×40×40×100  (array vs bitmap)     /  sweep
 //! repro fig10       Query 3 on 40×40×40×100
 //! repro storage     §5.5.1 storage-size comparison + §3.2 break-even
-//! repro ablation-compression   chunk-offset vs LZW vs dense
+//! repro ablation-compression   chunk-offset vs diff-seq vs LZW vs dense
 //! repro ablation-chunks        §5.5.1 chunk-count observation
 //! repro ablation-parallel      chunk-scan consolidation, 1..16 threads
 //! repro all         everything above
@@ -23,10 +23,11 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
+use molap_array::{diffseq, lzw, CompressedChunk, DenseChunk};
 use molap_bench::{fmt_row, Engine, Harness, Measurement, PAPER_CHUNK_DIMS};
 use molap_core::{AttrRef, DimGrouping, OlapArray, Query, Selection};
 use molap_datagen::{generate, CubeSpec};
-use molap_storage::{BufferPool, FileDisk, PAGE_SIZE};
+use molap_storage::{BufferPool, FileDisk, MemDisk};
 
 struct Ctx {
     harness: Harness,
@@ -271,69 +272,177 @@ fn storage(ctx: &Ctx) {
     );
 }
 
+/// A row of the compression ablation. Arrays store only the first
+/// two; the dense baselines exist here, encoded from the chunk-offset
+/// array's own chunks.
+#[derive(Clone, Copy, Debug)]
+enum Codec {
+    ChunkOffset,
+    DiffSeq,
+    DenseLzw,
+    Dense,
+}
+
+/// A decoded chunk in its codec's in-memory shape.
+enum Decoded {
+    Offset(CompressedChunk),
+    Dense(DenseChunk),
+}
+
+impl Codec {
+    fn encode(self, chunk: &CompressedChunk, cells: usize) -> Vec<u8> {
+        match self {
+            Codec::ChunkOffset => chunk.to_bytes(),
+            Codec::DiffSeq => diffseq::compress(chunk),
+            Codec::DenseLzw => lzw::compress(&chunk.to_dense(cells).to_bytes()),
+            Codec::Dense => chunk.to_dense(cells).to_bytes(),
+        }
+    }
+
+    /// Decodes a whole stored chunk: none of the four reaches a cell
+    /// any other way.
+    fn decode(self, bytes: &[u8], cells: u32) -> Decoded {
+        match self {
+            Codec::ChunkOffset => {
+                Decoded::Offset(CompressedChunk::from_bytes(bytes).expect("decode"))
+            }
+            Codec::DiffSeq => {
+                Decoded::Offset(diffseq::decompress_fast(bytes, cells).expect("decode"))
+            }
+            Codec::DenseLzw => {
+                let raw = lzw::decompress_fast(bytes).expect("decode");
+                Decoded::Dense(DenseChunk::from_bytes(&raw).expect("decode"))
+            }
+            Codec::Dense => Decoded::Dense(DenseChunk::from_bytes(bytes).expect("decode")),
+        }
+    }
+}
+
+impl Decoded {
+    fn sum(&self) -> i64 {
+        match self {
+            Decoded::Offset(c) => c.iter().map(|(_, v)| v[0]).sum(),
+            Decoded::Dense(d) => d.iter_valid().map(|(_, v)| v[0]).sum(),
+        }
+    }
+
+    fn probe(&self, offset: u32) -> Option<&[i64]> {
+        match self {
+            Decoded::Offset(c) => c.probe(offset),
+            Decoded::Dense(d) => d.probe(offset),
+        }
+    }
+}
+
 fn ablation_compression(ctx: &Ctx) {
     use molap_array::ChunkFormat;
+    use molap_storage::{LobId, LobStore};
     println!("\n== Ablation: chunk-offset vs diff-seq vs LZW(dense) vs dense (§3.1/§3.3) ==");
     let spec = ctx.ds2(0.05);
     let cube = generate(&spec).expect("generate");
+    let pool = Arc::new(BufferPool::with_bytes(Arc::new(MemDisk::new()), 256 << 20));
+    let adt = OlapArray::build(
+        pool,
+        cube.dims.clone(),
+        &PAPER_CHUNK_DIMS,
+        ChunkFormat::ChunkOffset,
+        cube.cells.iter().cloned(),
+        1,
+    )
+    .expect("build");
+    let shape = adt.array().shape();
+    let cells = shape.chunk_cells() as u32;
+    let chunks: Vec<CompressedChunk> = (0..shape.num_chunks())
+        .map(|c| Arc::unwrap_or_clone(adt.array().read_chunk(c).expect("read")))
+        .collect();
+    let total: i64 = chunks
+        .iter()
+        .map(|c| Decoded::Offset(c.clone()).sum())
+        .sum();
+    let points: Vec<(u64, u32)> = cube
+        .cells
+        .iter()
+        .take(10_000)
+        .map(|(keys, _)| {
+            let coords: Vec<u32> = (keys.iter().enumerate())
+                .map(|(d, &k)| adt.dims()[d].row_of_key(k).expect("key"))
+                .collect();
+            shape.locate(&coords).expect("locate")
+        })
+        .collect();
     println!(
-        "{:<14} {:>10} {:>12} {:>12} {:>14}",
-        "format", "MB", "build ms", "scan ms", "probe(10k) ms"
+        "{:<14} {:>10} {:>12} {:>16} {:>20}",
+        "format", "MB", "encode ms", "decode+scan ms", "decode+probe(10k) ms"
     );
     let mut csv = Vec::new();
-    for format in [
-        ChunkFormat::ChunkOffset,
-        ChunkFormat::DiffSeq,
-        ChunkFormat::DenseLzw,
-        ChunkFormat::Dense,
+    for codec in [
+        Codec::ChunkOffset,
+        Codec::DiffSeq,
+        Codec::DenseLzw,
+        Codec::Dense,
     ] {
-        let dir =
-            std::env::temp_dir().join(format!("molap-abl-{}-{:?}", std::process::id(), format));
+        let t0 = std::time::Instant::now();
+        let encoded: Vec<Vec<u8>> = (chunks.iter())
+            .map(|c| {
+                if c.is_empty() {
+                    Vec::new()
+                } else {
+                    codec.encode(c, cells as usize)
+                }
+            })
+            .collect();
+        let encode_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let mb = encoded.iter().map(Vec::len).sum::<usize>() as f64 / 1048576.0;
+
+        // Stored as an array stores its chunks: one large object per
+        // chunk on a file, read cold through a 16 MB pool.
+        let dir = std::env::temp_dir().join(format!("molap-abl-{}-{codec:?}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let disk = FileDisk::create(dir.join("store.db")).expect("store");
         let pool = Arc::new(BufferPool::with_bytes(Arc::new(disk), 16 << 20));
-        let t0 = std::time::Instant::now();
-        let adt = OlapArray::build(
-            pool.clone(),
-            cube.dims.clone(),
-            &PAPER_CHUNK_DIMS,
-            format,
-            cube.cells.iter().cloned(),
-            1,
-        )
-        .expect("build");
-        let build_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        pool.clear().expect("cold");
-        let t0 = std::time::Instant::now();
-        let q = query1(4);
-        let _ = adt.consolidate(&q).expect("scan");
-        let scan_ms = t0.elapsed().as_secs_f64() * 1e3;
-
-        pool.clear().expect("cold");
-        let t0 = std::time::Instant::now();
-        let mut hits = 0u64;
-        for (keys, _) in cube.cells.iter().take(10_000) {
-            if adt.get_by_keys(keys).expect("probe").is_some() {
-                hits += 1;
-            }
+        let lobs = LobStore::new(pool.clone());
+        for bytes in &encoded {
+            lobs.append(bytes).expect("append");
         }
-        let probe_ms = t0.elapsed().as_secs_f64() * 1e3;
-        assert_eq!(hits, cube.cells.len().min(10_000) as u64);
+        drop(encoded);
+        let mut buf = Vec::new();
+        let mut read = |chunk_no: u64| {
+            lobs.read_into(LobId(chunk_no as u32), &mut buf)
+                .expect("read");
+            (!buf.is_empty()).then(|| codec.decode(&buf, cells))
+        };
 
-        let mb = adt.array_pages() as f64 * PAGE_SIZE as f64 / 1048576.0;
+        pool.clear().expect("cold");
+        let t0 = std::time::Instant::now();
+        let sum: i64 = (0..shape.num_chunks())
+            .filter_map(&mut read)
+            .map(|d| d.sum())
+            .sum();
+        let scan_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(sum, total, "{codec:?} scan");
+
+        pool.clear().expect("cold");
+        let t0 = std::time::Instant::now();
+        let hits = (points.iter())
+            .filter(|&&(chunk_no, offset)| {
+                read(chunk_no).is_some_and(|d| d.probe(offset).is_some())
+            })
+            .count();
+        let probe_ms = t0.elapsed().as_secs_f64() * 1e3;
+        assert_eq!(hits, points.len(), "{codec:?} probes");
+
         println!(
-            "{:<14} {mb:>10.2} {build_ms:>12.1} {scan_ms:>12.1} {probe_ms:>14.1}",
-            format!("{format:?}")
+            "{:<14} {mb:>10.2} {encode_ms:>12.1} {scan_ms:>16.1} {probe_ms:>20.1}",
+            format!("{codec:?}")
         );
         csv.push(format!(
-            "{format:?},{mb:.3},{build_ms:.1},{scan_ms:.1},{probe_ms:.1}"
+            "{codec:?},{mb:.3},{encode_ms:.1},{scan_ms:.1},{probe_ms:.1}"
         ));
         let _ = std::fs::remove_dir_all(&dir);
     }
     ctx.write_csv(
         "ablation_compression",
-        "format,array_mb,build_ms,scan_ms,probe10k_ms",
+        "format,encoded_mb,encode_ms,decode_scan_ms,decode_probe10k_ms",
         &csv,
     );
 }

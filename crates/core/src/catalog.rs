@@ -477,6 +477,18 @@ mod tests {
         ]
     }
 
+    /// Disk locations of the chunks holding `cells` (keys are also
+    /// coordinates in `dims()`).
+    fn locations(adt: &OlapArray, cells: &[[u32; 2]]) -> Result<Vec<molap_array::ChunkKey>> {
+        cells
+            .iter()
+            .map(|coords| {
+                let (chunk_no, _) = adt.array().shape().locate(coords)?;
+                Ok(adt.array().chunk_key(chunk_no)?)
+            })
+            .collect()
+    }
+
     #[test]
     fn full_lifecycle_across_reopen() -> TestResult {
         let path = temp_path("lifecycle");
@@ -669,32 +681,86 @@ mod tests {
     #[test]
     fn write_batch_commits_durably_across_reopen() -> TestResult {
         let path = temp_path("writebatch");
+        let updated = [[0, 0], [1, 2]];
+        let built;
         {
             let db = Database::create(&path, 1 << 20)?;
             let adt = OlapArray::build(
                 db.pool().clone(),
                 dims()?,
                 &[2, 2],
-                ChunkFormat::Dense,
+                ChunkFormat::ChunkOffset,
                 cells(),
                 1,
             )?;
+            built = locations(&adt, &updated)?;
             db.save_olap_array("sales", &adt)?;
             db.checkpoint()?;
+            // Updates of existing cells: each chunk is rewritten in
+            // place.
             let mut batch = crate::WriteBatch::new();
             batch.set(&[0, 0], &[77]);
-            batch.set(&[2, 2], &[5]); // fresh cell
+            batch.set(&[1, 2], &[25]);
             let receipt = db.write_batch("sales", &batch)?;
             assert_eq!(receipt.cells_written, 2);
             assert!(!db.is_dirty(), "write_batch checkpoints");
+            // A fresh cell in another chunk relocates that chunk.
+            let mut batch = crate::WriteBatch::new();
+            batch.set(&[2, 2], &[5]);
+            db.write_batch("sales", &batch)?;
         }
         let db = Database::open(&path, 1 << 20)?;
         let adt = db.open_olap_array("sales")?;
+        assert_eq!(locations(&adt, &updated)?, built, "updated in place");
         assert_eq!(adt.get_by_keys(&[0, 0])?, Some(vec![77]));
+        assert_eq!(adt.get_by_keys(&[1, 2])?, Some(vec![25]));
         assert_eq!(adt.get_by_keys(&[2, 2])?, Some(vec![5]));
         assert_eq!(adt.valid_cells(), 5);
         std::fs::remove_file(&path)?;
         let _ = std::fs::remove_file(wal_path(&path));
+        Ok(())
+    }
+
+    #[test]
+    fn retired_chunk_formats_reopen_as_unsupported() -> TestResult {
+        for tag in [1, 2] {
+            let path = temp_path(&format!("retired{tag}"));
+            let meta = {
+                let db = Database::create(&path, 1 << 20)?;
+                let adt = OlapArray::build(
+                    db.pool().clone(),
+                    dims()?,
+                    &[2, 2],
+                    ChunkFormat::ChunkOffset,
+                    cells(),
+                    1,
+                )?;
+                db.save_olap_array("sales", &adt)?;
+                db.checkpoint()?;
+                adt.array().meta_to_bytes()
+            };
+            // The catalog blob holds the array header verbatim; its
+            // second word is the format tag.
+            let mut file = std::fs::read(&path)?;
+            let at = (file.windows(meta.len()))
+                .position(|w| w == meta)
+                .ok_or("array header not in the file")?;
+            write_u32(&mut file, at + 4, tag);
+            std::fs::write(&path, &file)?;
+
+            let db = Database::open(&path, 1 << 20)?;
+            let err = db.open_olap_array("sales").err();
+            assert!(
+                matches!(err, Some(Error::Array(molap_array::ArrayError::UnsupportedFormat(t))) if t == tag),
+                "tag {tag}: {err:?}"
+            );
+            assert!(db
+                .sql("SELECT SUM(volume) FROM sales", &["volume"])
+                .is_err());
+            drop(db);
+            std::fs::remove_file(&path)?;
+            let _ = std::fs::remove_file(wal_path(&path));
+        }
         Ok(())
     }
 
@@ -731,16 +797,21 @@ mod tests {
     fn wal_replay_recovers_a_crash_mid_flush() -> TestResult {
         let path = temp_path("crash");
         let q = "SELECT SUM(volume), store.region FROM sales GROUP BY store.region";
+        // The batch below only updates existing cells, so both chunks
+        // are rewritten in place.
+        let updated = [[0, 0], [3, 0]];
+        let built;
         {
             let db = Database::create(&path, 1 << 20)?;
             let adt = OlapArray::build(
                 db.pool().clone(),
                 dims()?,
                 &[2, 2],
-                ChunkFormat::Dense,
+                ChunkFormat::ChunkOffset,
                 cells(),
                 1,
             )?;
+            built = locations(&adt, &updated)?;
             db.save_olap_array("sales", &adt)?;
             db.checkpoint()?;
         }
@@ -785,7 +856,9 @@ mod tests {
         // Reopen: recovery replays the log before the catalog loads.
         let db = Database::open(&path, 1 << 20)?;
         assert_eq!(db.sql(q, &["volume"])?, expected, "replayed to the batch");
-        drop(db);
+        let adt = db.open_olap_array("sales")?;
+        assert_eq!(locations(&adt, &updated)?, built, "updated in place");
+        drop((adt, db));
         let recovered = std::fs::read(&path)?;
         assert_eq!(
             recovered, committed,

@@ -22,7 +22,7 @@
 use std::borrow::Cow;
 
 use molap_array::diffseq::DiffSeqCursor;
-use molap_array::{Chunk, Shape};
+use molap_array::{CompressedChunk, Shape};
 
 use crate::consolidate::GroupMap;
 use crate::error::Result;
@@ -190,18 +190,12 @@ impl ChunkKernel<'_> {
     }
 
     /// Aggregates every valid cell of `chunk` into `cube`.
-    pub(crate) fn apply(&self, chunk: &Chunk, cube: &mut ResultCube) {
-        match chunk {
-            Chunk::Compressed(c) => self.fold(c.offsets(), |i| c.values_at(i), cube),
-            Chunk::Dense(d) => {
-                let (offsets, rows): (Vec<u32>, Vec<&[i64]>) = d.iter_valid().unzip();
-                self.fold(&offsets, |i| rows.get(i).copied().unwrap_or(&[]), cube);
-            }
-        }
+    pub(crate) fn apply(&self, chunk: &CompressedChunk, cube: &mut ResultCube) {
+        self.fold(chunk.offsets(), |i| chunk.values_at(i), cube);
     }
 
     /// Streaming entry point: drains a diff-seq chunk's cursor — gap
-    /// unpack → prefix sum → remap — never materializing a [`Chunk`].
+    /// unpack → prefix sum → remap — never materializing a [`CompressedChunk`].
     pub(crate) fn apply_stream(
         &self,
         mut cursor: DiffSeqCursor<'_>,
@@ -301,10 +295,9 @@ mod tests {
 
     #[test]
     fn kernel_matches_per_cell_aggregation() {
-        // Compressed columns (ChunkOffset) and dense chunks (DenseLzw)
-        // reach the same body; padded edges, masks and dropped
-        // dimensions must not change a single accumulator.
-        for format in [ChunkFormat::ChunkOffset, ChunkFormat::DenseLzw] {
+        // Both formats reach the same body; padded edges, masks and
+        // dropped dimensions must not change a single accumulator.
+        for format in ChunkFormat::ALL {
             let adt = build(format);
             let shape = adt.array().shape();
             let mask = mask(shape);
@@ -348,9 +341,7 @@ mod tests {
                 let remap = QueryRemap::new(shape, &maps, &cube);
                 for chunk_no in 0..shape.num_chunks() {
                     let chunk = adt.array().read_chunk(chunk_no).unwrap();
-                    let Chunk::Compressed(c) = &*chunk else {
-                        panic!("ChunkOffset arrays decode to compressed chunks");
-                    };
+                    let c = &*chunk;
                     if c.is_empty() {
                         continue;
                     }

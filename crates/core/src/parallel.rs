@@ -236,7 +236,7 @@ fn consume_pipeline(
         };
         // Scan direction streams when it can; probe direction needs
         // random access by offset — one of the paths that genuinely
-        // wants a Chunk.
+        // wants a decoded chunk.
         let chunk = match payload {
             ChunkPayload::Chunk(chunk) => chunk,
             ChunkPayload::DiffSeq(bytes) => {
@@ -250,11 +250,11 @@ fn consume_pipeline(
                 ChunkPayload::DiffSeq(bytes).into_chunk(limit)?
             }
         };
-        if chunk.valid_cells() == 0 {
+        if chunk.is_empty() {
             continue;
         }
         match chunk_sel {
-            Some((probes, sel)) if cross <= chunk.valid_cells() => {
+            Some((probes, sel)) if cross <= chunk.len() as u64 => {
                 probe_chunk(adt, &chunk, probes, sel, maps, &mut ranks, cube);
             }
             _ => kernel().apply(&chunk, cube),
@@ -473,11 +473,7 @@ mod tests {
         let probe_direction = Query::new(vec![DimGrouping::Key, DimGrouping::Drop])
             .with_selection(0, Selection::in_list(AttrRef::Key, vec![3, 17, 29]))
             .with_selection(1, Selection::in_list(AttrRef::Key, vec![5, 11]));
-        for format in [
-            ChunkFormat::ChunkOffset,
-            ChunkFormat::DenseLzw,
-            ChunkFormat::DiffSeq,
-        ] {
+        for format in ChunkFormat::ALL {
             let adt = build_fmt(300, format);
             let pool = adt.pool().clone();
             let shape = adt.array().shape();

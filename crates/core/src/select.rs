@@ -22,7 +22,7 @@
 //! 3. Hits are mapped through the IndexToIndex arrays and aggregated
 //!    into the result cube, exactly as in the §4.1 phase 2.
 
-use molap_array::{Chunk, Shape};
+use molap_array::{CompressedChunk, Shape};
 
 use crate::adt::OlapArray;
 use crate::consolidate::{make_cube, phase1, GroupMap};
@@ -290,21 +290,21 @@ pub(crate) fn candidate_chunks(shape: &Shape, probes: &[DimProbe]) -> Vec<(u64, 
 #[allow(clippy::too_many_arguments)]
 fn eval_chunk(
     adt: &OlapArray,
-    chunk: &Chunk,
+    chunk: &CompressedChunk,
     probes: &[DimProbe],
     chunk_sel: &[usize],
     maps: &[GroupMap],
     ranks: &mut [u32],
     cube: &mut crate::result::ResultCube,
 ) {
-    if chunk.valid_cells() == 0 {
+    if chunk.is_empty() {
         return;
     }
     let n = probes.len();
     let cross: u64 = (0..n)
         .map(|d| probes[d].groups[chunk_sel[d]].indices.len() as u64)
         .product();
-    if cross > chunk.valid_cells() {
+    if cross > chunk.len() as u64 {
         scan_chunk(adt, chunk, probes, chunk_sel, maps, ranks, cube);
     } else {
         probe_chunk(adt, chunk, probes, chunk_sel, maps, ranks, cube);
@@ -335,7 +335,7 @@ pub(crate) fn chunk_membership(
 #[allow(clippy::too_many_arguments)]
 pub(crate) fn probe_chunk(
     adt: &OlapArray,
-    chunk: &Chunk,
+    chunk: &CompressedChunk,
     probes: &[DimProbe],
     chunk_sel: &[usize],
     maps: &[GroupMap],
@@ -360,17 +360,10 @@ pub(crate) fn probe_chunk(
         prefix[d] = if d == 0 { c } else { prefix[d - 1] + c };
     }
 
-    let mut cursor = 0usize; // probe_from resume point (compressed chunks)
+    let mut cursor = 0usize; // probe_from resume point
     loop {
-        let offset = prefix[n - 1] as u32;
-        let hit = match chunk {
-            Chunk::Compressed(c) => {
-                let (hit, next) = c.probe_from(offset, cursor);
-                cursor = next;
-                hit
-            }
-            Chunk::Dense(d) => d.probe(offset),
-        };
+        let (hit, next) = chunk.probe_from(prefix[n - 1] as u32, cursor);
+        cursor = next;
         if let Some(values) = hit {
             for (g, map) in maps.iter().enumerate() {
                 let idx = lists[map.dim][pos[map.dim]];
@@ -407,7 +400,7 @@ pub(crate) fn probe_chunk(
 #[allow(clippy::too_many_arguments)]
 fn scan_chunk(
     adt: &OlapArray,
-    chunk: &Chunk,
+    chunk: &CompressedChunk,
     probes: &[DimProbe],
     chunk_sel: &[usize],
     maps: &[GroupMap],
@@ -415,35 +408,24 @@ fn scan_chunk(
     cube: &mut crate::result::ResultCube,
 ) {
     let shape = adt.array().shape();
-    let n = probes.len();
     // Per-dimension membership over within-chunk coordinates, plus the
     // chunk's base coordinate for IndexToIndex lookups.
-    let mut selected: Vec<Vec<bool>> = Vec::with_capacity(n);
-    let mut base = Vec::with_capacity(n);
-    for d in 0..n {
-        let group = &probes[d].groups[chunk_sel[d]];
-        let mut member = vec![false; shape.chunk_dims()[d] as usize];
-        for &idx in &group.indices {
-            member[shape.within_chunk(d, idx) as usize] = true;
-        }
-        selected.push(member);
-        base.push(group.chunk_coord * shape.chunk_dims()[d]);
-    }
-
-    chunk.for_each_valid(|offset, values| {
-        for (d, member) in selected.iter().enumerate() {
-            let within = (offset as u64 / shape.cell_stride(d)) as u32 % shape.chunk_dims()[d];
-            if !member[within as usize] {
-                return;
-            }
+    let selected = chunk_membership(shape, probes, chunk_sel);
+    let base: Vec<u32> = (0..probes.len())
+        .map(|d| probes[d].groups[chunk_sel[d]].chunk_coord * shape.chunk_dims()[d])
+        .collect();
+    let within = |d: usize, offset: u32| {
+        (offset as u64 / shape.cell_stride(d)) as u32 % shape.chunk_dims()[d]
+    };
+    for (offset, values) in chunk.iter() {
+        if (0..selected.len()).any(|d| !selected[d][within(d, offset) as usize]) {
+            continue;
         }
         for (g, map) in maps.iter().enumerate() {
-            let d = map.dim;
-            let within = (offset as u64 / shape.cell_stride(d)) as u32 % shape.chunk_dims()[d];
-            ranks[g] = map.i2i[(base[d] + within) as usize];
+            ranks[g] = map.i2i[(base[map.dim] + within(map.dim, offset)) as usize];
         }
         cube.add(ranks, values);
-    });
+    }
 }
 
 #[cfg(test)]
@@ -695,14 +677,17 @@ mod tests {
     }
 
     #[test]
-    fn works_on_dense_chunk_format() {
-        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 2048));
-        let dims =
-            vec![DimensionTable::build("a", &[0, 1, 2], vec![("h", vec![0, 1, 0])]).unwrap()];
-        let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..3i64).map(|i| (vec![i], vec![i + 1])).collect();
-        let adt = OlapArray::build(pool, dims, &[2], ChunkFormat::Dense, cells, 1).unwrap();
-        let q = Query::new(vec![DimGrouping::Drop])
-            .with_selection(0, Selection::eq(AttrRef::Level(0), 0));
-        assert_eq!(adt.consolidate(&q).unwrap().total(), 1 + 3);
+    fn works_on_every_chunk_format() {
+        for format in ChunkFormat::ALL {
+            let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 2048));
+            let dims =
+                vec![DimensionTable::build("a", &[0, 1, 2], vec![("h", vec![0, 1, 0])]).unwrap()];
+            let cells: Vec<(Vec<i64>, Vec<i64>)> =
+                (0..3i64).map(|i| (vec![i], vec![i + 1])).collect();
+            let adt = OlapArray::build(pool, dims, &[2], format, cells, 1).unwrap();
+            let q = Query::new(vec![DimGrouping::Drop])
+                .with_selection(0, Selection::eq(AttrRef::Level(0), 0));
+            assert_eq!(adt.consolidate(&q).unwrap().total(), 1 + 3, "{format:?}");
+        }
     }
 }

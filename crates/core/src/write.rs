@@ -70,7 +70,7 @@
 use crate::adt::OlapArray;
 use crate::error::{Error, Result};
 use crate::rescache;
-use molap_array::{shared_version_table, Chunk};
+use molap_array::{shared_version_table, CompressedChunk};
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -166,7 +166,7 @@ pub fn apply_batch_with(
 /// inserted.
 struct AppliedChunk {
     chunk_no: u64,
-    pre: Arc<Chunk>,
+    pre: Arc<CompressedChunk>,
     cells_added: u64,
 }
 
@@ -380,7 +380,7 @@ mod tests {
         let cells: Vec<(Vec<i64>, Vec<i64>)> = (0..8i64)
             .flat_map(|s| (0..4i64).map(move |p| (vec![s, p], vec![s * 100 + p])))
             .collect();
-        OlapArray::build(pool, dims, &[4, 2], ChunkFormat::Dense, cells, 1).unwrap()
+        OlapArray::build(pool, dims, &[4, 2], ChunkFormat::ChunkOffset, cells, 1).unwrap()
     }
 
     #[test]

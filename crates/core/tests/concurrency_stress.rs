@@ -201,15 +201,24 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
     let base_sum: i64 = cells.iter().map(|(_, v)| v[0]).sum();
     let last = [15, products - 1];
     let last_value = 15 * products + products - 1;
+    // Every cell is valid and every batch only updates existing ones,
+    // so each chunk-offset rewrite keeps its length and lands in place.
     let adt = OlapArray::build(
         db.pool().clone(),
         dims,
         &[4, 4],
-        ChunkFormat::Dense,
+        ChunkFormat::ChunkOffset,
         cells,
         1,
     )
     .unwrap();
+    let written = |adt: &OlapArray| {
+        [[0, 0], [15, products as u32 - 1]].map(|coords| {
+            let (chunk_no, _) = adt.array().shape().locate(&coords).unwrap();
+            adt.array().chunk_key(chunk_no).unwrap()
+        })
+    };
+    let locations = written(&adt);
     db.save_olap_array("wsales", &adt).unwrap();
     db.checkpoint().unwrap();
 
@@ -296,8 +305,10 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
         h.join().unwrap();
     }
 
-    // Quiesced: a fresh handle must see exactly the final batch.
+    // Quiesced: a fresh handle must see exactly the final batch, with
+    // both written chunks still where they were built.
     let adt = db.open_olap_array("wsales").unwrap();
+    assert_eq!(written(&adt), locations, "an overwrite was not in place");
     let final_sum = match adt.consolidate(&q).unwrap().rows()[0].values[0] {
         AggValue::Int(v) => v,
         ref other => panic!("unexpected aggregate {other:?}"),

@@ -86,7 +86,7 @@ type RawWrite = (Vec<u64>, i64);
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
         proptest::collection::vec((4i64..12, 2i64..4, 1u32..5, 0u8..3), 2..4),
-        0u8..2,
+        0..ChunkFormat::ALL.len(),
         proptest::collection::vec((proptest::collection::vec(0u64..64, 3), -400i64..400), 1..8),
         proptest::collection::vec((proptest::collection::vec(0u64..64, 3), -400i64..400), 1..8),
         any::<u64>(),
@@ -95,17 +95,13 @@ fn case_strategy() -> impl Strategy<Value = Case> {
         .prop_map(
             |(dims, fmt, w1, w2, seed, sel_raw): (
                 Vec<DimSpec>,
-                u8,
+                usize,
                 Vec<RawWrite>,
                 Vec<RawWrite>,
                 u64,
                 i64,
             )| {
-                let format = if fmt == 0 {
-                    ChunkFormat::ChunkOffset
-                } else {
-                    ChunkFormat::Dense
-                };
+                let format = ChunkFormat::ALL[fmt];
                 let mut spec = Vec::new();
                 let mut chunk = Vec::new();
                 let mut group = Vec::new();

@@ -157,15 +157,11 @@ type DimSpec = (i64, i64, u32, u8, i64);
 fn case_strategy() -> impl Strategy<Value = Case> {
     (
         proptest::collection::vec((10i64..24, 2i64..4, 2u32..8, 0u8..5, 0i64..20), 2..4),
-        0u8..3,
+        0..ChunkFormat::ALL.len(),
         any::<u64>(),
     )
-        .prop_map(|(dims, fmt, seed): (Vec<DimSpec>, u8, u64)| {
-            let format = match fmt {
-                0 => ChunkFormat::ChunkOffset,
-                1 => ChunkFormat::Dense,
-                _ => ChunkFormat::DiffSeq,
-            };
+        .prop_map(|(dims, fmt, seed): (Vec<DimSpec>, usize, u64)| {
+            let format = ChunkFormat::ALL[fmt];
             let mut spec = Vec::new();
             let mut chunk = Vec::new();
             let mut group_by = Vec::new();

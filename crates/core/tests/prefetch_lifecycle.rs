@@ -114,7 +114,9 @@ fn failing_disk_errors_propagate_and_the_pipeline_recovers() {
 #[test]
 fn pool_clear_epoch_races_in_flight_prefetch() {
     let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 1024));
-    let adt = build_adt(pool.clone(), ChunkFormat::DenseLzw);
+    // ChunkOffset: the codec whose decodes the chunk cache keeps, so
+    // racing prefetchers insert stale-epoch entries.
+    let adt = build_adt(pool.clone(), ChunkFormat::ChunkOffset);
     let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
     let expect = adt.consolidate(&q).unwrap();
     let epoch_before = pool.epoch();

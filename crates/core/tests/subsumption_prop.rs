@@ -103,15 +103,11 @@ fn case_strategy() -> impl Strategy<Value = Case> {
             ),
             2..4,
         ),
-        0u8..2,
+        0..ChunkFormat::ALL.len(),
         any::<u64>(),
     )
-        .prop_map(|(dims, fmt, seed): (Vec<DimSpec>, u8, u64)| {
-            let format = if fmt == 0 {
-                ChunkFormat::ChunkOffset
-            } else {
-                ChunkFormat::Dense
-            };
+        .prop_map(|(dims, fmt, seed): (Vec<DimSpec>, usize, u64)| {
+            let format = ChunkFormat::ALL[fmt];
             let mut spec = Vec::new();
             let mut chunk = Vec::new();
             let mut fine = Vec::new();

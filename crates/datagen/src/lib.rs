@@ -525,11 +525,7 @@ mod tests {
             molap_core::DimGrouping::Drop,
         ]);
         let mut results = Vec::new();
-        for format in [
-            ChunkFormat::ChunkOffset,
-            ChunkFormat::Dense,
-            ChunkFormat::DiffSeq,
-        ] {
+        for format in ChunkFormat::ALL {
             let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 1024));
             let adt = cube.build_olap(pool, &[5, 4, 3], format).unwrap();
             assert_eq!(adt.array().format(), format);

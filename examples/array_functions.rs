@@ -101,11 +101,7 @@ fn main() {
 
     // --- Compression formats side by side ------------------------------
     println!("same data in each chunk format:");
-    for format in [
-        ChunkFormat::ChunkOffset,
-        ChunkFormat::DenseLzw,
-        ChunkFormat::Dense,
-    ] {
+    for format in ChunkFormat::ALL {
         let shape = Shape::new(vec![12, 12, 12], vec![6, 6, 6]).unwrap();
         let mut b = ArrayBuilder::new(shape, 1, format);
         for x in 0..12u32 {
