@@ -2,11 +2,12 @@
 //! by bytes.
 //!
 //! `ChunkedArray::read_chunk` pays a parse (and for `DiffSeq` a gap
-//! unpack) on every access, even when the underlying pages
-//! are already hot in the buffer pool — so repeated consolidations,
-//! point probes, and §4.2 selection binary-searches re-decode the same
-//! bytes over and over. This cache keeps recently decoded chunks as
-//! shared `Arc<CompressedChunk>`s so hot reads skip both the pool and the codec.
+//! unpack) on every access, even when the underlying pages are already
+//! hot in the buffer pool — so repeated consolidations, point probes,
+//! and §4.2 selection binary-searches re-decode the same bytes over and
+//! over. This cache keeps recently decoded chunks as shared
+//! `Arc<CompressedChunk>`s so hot reads skip both the pool and the
+//! codec.
 //!
 //! One cache is attached *per buffer pool* (via the pool's extension
 //! slot, see [`shared_chunk_cache`]) so every `ChunkedArray` opened over
@@ -38,10 +39,11 @@
 //! Hot gets never take the shard `chunks` mutex. Each shard keeps a
 //! lock-free mirror of up to [`SLOTS_PER_SHARD`] entries: an
 //! [`AtomicIndex`] mapping a key hash to a slot, where each slot is a
-//! tiny `chunk_slot` mutex over `(key, epoch, Arc<CompressedChunk>)`. A get runs
-//! under a [`OptLock`] (`chunks_v`) optimistic guard: probe the index,
-//! lock the slot (per-entry, essentially uncontended), compare the
-//! *full* key and epoch, clone the `Arc` out, and validate the guard.
+//! tiny `chunk_slot` mutex over `(key, epoch, Arc<CompressedChunk>)`. A
+//! get runs under a [`OptLock`] (`chunks_v`) optimistic guard: probe the
+//! index, lock the slot (per-entry, essentially uncontended), compare
+//! the *full* key and epoch, clone the `Arc` out, and validate the
+//! guard.
 //! The full-key compare under the slot mutex makes hits
 //! self-validating — a hash collision or a racing remap can only cause
 //! a spurious miss, never a wrong chunk — and the version validation

@@ -355,10 +355,7 @@ fn ablation_compression(ctx: &Ctx) {
     let chunks: Vec<CompressedChunk> = (0..shape.num_chunks())
         .map(|c| Arc::unwrap_or_clone(adt.array().read_chunk(c).expect("read")))
         .collect();
-    let total: i64 = chunks
-        .iter()
-        .map(|c| Decoded::Offset(c.clone()).sum())
-        .sum();
+    let total: i64 = cube.cells.iter().map(|(_, m)| m[0]).sum();
     let points: Vec<(u64, u32)> = cube
         .cells
         .iter()
@@ -383,13 +380,7 @@ fn ablation_compression(ctx: &Ctx) {
     ] {
         let t0 = std::time::Instant::now();
         let encoded: Vec<Vec<u8>> = (chunks.iter())
-            .map(|c| {
-                if c.is_empty() {
-                    Vec::new()
-                } else {
-                    codec.encode(c, cells as usize)
-                }
-            })
+            .map(|c| codec.encode(c, cells as usize))
             .collect();
         let encode_ms = t0.elapsed().as_secs_f64() * 1e3;
         let mb = encoded.iter().map(Vec::len).sum::<usize>() as f64 / 1048576.0;
@@ -409,14 +400,13 @@ fn ablation_compression(ctx: &Ctx) {
         let mut read = |chunk_no: u64| {
             lobs.read_into(LobId(chunk_no as u32), &mut buf)
                 .expect("read");
-            (!buf.is_empty()).then(|| codec.decode(&buf, cells))
+            codec.decode(&buf, cells)
         };
 
         pool.clear().expect("cold");
         let t0 = std::time::Instant::now();
         let sum: i64 = (0..shape.num_chunks())
-            .filter_map(&mut read)
-            .map(|d| d.sum())
+            .map(|chunk_no| read(chunk_no).sum())
             .sum();
         let scan_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(sum, total, "{codec:?} scan");
@@ -424,9 +414,7 @@ fn ablation_compression(ctx: &Ctx) {
         pool.clear().expect("cold");
         let t0 = std::time::Instant::now();
         let hits = (points.iter())
-            .filter(|&&(chunk_no, offset)| {
-                read(chunk_no).is_some_and(|d| d.probe(offset).is_some())
-            })
+            .filter(|&&(chunk_no, offset)| read(chunk_no).probe(offset).is_some())
             .count();
         let probe_ms = t0.elapsed().as_secs_f64() * 1e3;
         assert_eq!(hits, points.len(), "{codec:?} probes");

@@ -157,8 +157,8 @@ fn run_command(backend: &mut Backend, line: &str) -> Result<bool, Box<dyn std::e
         ".quit" | ".exit" => return Ok(true),
         ".help" => {
             println!(
-                ".tables | .schema <name> | .load demo [format] | .stats | .checkpoint | .ping | \
-                 .shutdown-server | .quit\n\
+                ".tables | .schema <name> | .load demo [chunkoffset|diffseq] | .stats | .checkpoint | \
+                 .ping | .shutdown-server | .quit\n\
                  or a SQL statement: SELECT SUM(volume), d.attr FROM <object> \
                  [WHERE d.attr = v | IN (..) | BETWEEN a AND b] [GROUP BY d.attr, ...]"
             );

@@ -15,7 +15,7 @@
 //! | [`btree`] | `molap-btree` | paged B+tree with duplicates and range scans |
 //! | [`bitmap`] | `molap-bitmap` | bitmaps, RLE codec, bitmap join indices |
 //! | [`factfile`] | `molap-factfile` | extent-based fixed-record fact file |
-//! | [`array`](mod@array) | `molap-array` | chunked arrays, chunk-offset compression, LZW |
+//! | [`array`](mod@array) | `molap-array` | chunked arrays, chunk-offset and diff-seq chunk codecs |
 //! | [`core`] | `molap-core` | the OLAP Array ADT and the three query engines |
 //! | [`datagen`] | `molap-datagen` | the paper's synthetic datasets |
 //! | [`server`] | `molap-server` | concurrent TCP query service + blocking client |
