@@ -41,8 +41,6 @@
 #![forbid(unsafe_code)]
 
 mod node;
-mod shared;
 mod tree;
 
-pub use shared::SharedBTree;
 pub use tree::{BTree, BTreeConfig};

@@ -28,9 +28,15 @@ const KIND_INTERNAL: u8 = 0;
 const KIND_LEAF: u8 = 1;
 const NO_NEXT: u64 = u64::MAX;
 
+/// `Some(true)` for a leaf, `Some(false)` for an internal node, `None`
+/// for a kind byte that is neither.
 #[inline]
-pub fn is_leaf(buf: &PageBuf) -> bool {
-    buf[0] == KIND_LEAF
+pub fn is_leaf(buf: &PageBuf) -> Option<bool> {
+    match buf[0] {
+        KIND_LEAF => Some(true),
+        KIND_INTERNAL => Some(false),
+        _ => None,
+    }
 }
 
 #[inline]

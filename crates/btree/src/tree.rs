@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use molap_storage::util::{read_u32, read_u64, write_u32, write_u64};
-use molap_storage::{BufferPool, PageId, Result, StorageError};
+use molap_storage::{BufferPool, PageId, PageRef, Result, StorageError};
 
 use crate::node;
 
@@ -92,65 +92,6 @@ impl BTree {
         self.height
     }
 
-    /// The root page (for [`crate::SharedBTree`]'s lock-free mirror).
-    pub(crate) fn root(&self) -> PageId {
-        self.root
-    }
-
-    /// The pool this tree pages through.
-    pub(crate) fn pool(&self) -> &Arc<BufferPool> {
-        &self.pool
-    }
-
-    /// Every existing page an [`BTree::insert`] of `key` could mutate:
-    /// the `internal_descend_index` descent path, leaf included. Split
-    /// targets and new roots are fresh pages — unreachable until the
-    /// insert links them — so they need no coverage.
-    pub(crate) fn insert_path(&self, key: i64) -> Result<Vec<PageId>> {
-        let mut path = Vec::with_capacity(self.height as usize + 1);
-        let mut pid = self.root;
-        path.push(pid);
-        for _ in 0..self.height {
-            let page = self.pool.fetch(pid)?;
-            let idx = node::internal_descend_index(&page, key);
-            pid = node::internal_child(&page, idx);
-            path.push(pid);
-        }
-        Ok(path)
-    }
-
-    /// Every existing page a [`BTree::delete`] of `key` could mutate:
-    /// the `find_run_start` descent path plus the leaf-chain walk
-    /// through the key's duplicate run (the lazy delete scans right
-    /// until it passes `key`; it mutates at most one of those leaves,
-    /// but which one depends on the stored values).
-    pub(crate) fn delete_path(&self, key: i64) -> Result<Vec<PageId>> {
-        let mut path = Vec::with_capacity(self.height as usize + 2);
-        let mut pid = self.root;
-        path.push(pid);
-        for _ in 0..self.height {
-            let page = self.pool.fetch(pid)?;
-            let idx = node::internal_scan_index(&page, key);
-            pid = node::internal_child(&page, idx);
-            path.push(pid);
-        }
-        loop {
-            let page = self.pool.fetch(pid)?;
-            let n = node::count(&page);
-            if n > 0 && node::leaf_key(&page, n - 1) > key {
-                break; // the delete stops inside this leaf
-            }
-            match node::next_leaf(&page) {
-                Some(next) => {
-                    pid = next;
-                    path.push(pid);
-                }
-                None => break,
-            }
-        }
-        Ok(path)
-    }
-
     /// Serializes root/height/len/config so a higher layer can persist
     /// and later [`BTree::from_meta_bytes`] the tree over the same pool.
     pub fn meta_to_bytes(&self) -> Vec<u8> {
@@ -186,11 +127,9 @@ impl BTree {
 
     /// Returns the value of the first entry with `key`, if any.
     pub fn get(&self, key: i64) -> Result<Option<u64>> {
-        let (pid, pos) = self.find_run_start(key)?;
-        let mut pid = pid;
-        let mut pos = pos;
+        let (mut pid, mut pos) = self.find_run_start(key)?;
         loop {
-            let page = self.pool.fetch(pid)?;
+            let page = self.fetch_node(pid, 0)?;
             if pos < node::count(&page) {
                 return Ok(
                     (node::leaf_key(&page, pos) == key).then(|| node::leaf_value(&page, pos))
@@ -231,7 +170,7 @@ impl BTree {
         }
         let (mut pid, mut pos) = self.find_run_start(lo)?;
         loop {
-            let page = self.pool.fetch(pid)?;
+            let page = self.fetch_node(pid, 0)?;
             let n = node::count(&page);
             while pos < n {
                 let k = node::leaf_key(&page, pos);
@@ -260,15 +199,37 @@ impl BTree {
     /// returns `(leaf page, lower-bound index)`.
     fn find_run_start(&self, key: i64) -> Result<(PageId, usize)> {
         let mut pid = self.root;
-        for _ in 0..self.height {
-            let page = self.pool.fetch(pid)?;
-            debug_assert!(!node::is_leaf(&page));
+        for level in (1..=self.height).rev() {
+            let page = self.fetch_node(pid, level)?;
             let idx = node::internal_scan_index(&page, key);
             pid = node::internal_child(&page, idx);
         }
-        let page = self.pool.fetch(pid)?;
-        debug_assert!(node::is_leaf(&page));
+        let page = self.fetch_node(pid, 0)?;
         Ok((pid, node::leaf_lower_bound(&page, key)))
+    }
+
+    /// Fetches node `pid`, which the descent expects at `level` (0 = a
+    /// leaf), and checks its header before any entry is read: the kind
+    /// byte must name a node kind that matches the level, and the count
+    /// must fit that kind's page capacity. Every node read goes through
+    /// here, so a corrupt page is a typed error, not an out-of-range
+    /// slice.
+    fn fetch_node(&self, pid: PageId, level: u32) -> Result<PageRef<'_>> {
+        let page = self.pool.fetch(pid)?;
+        let cap = match node::is_leaf(&page) {
+            None => return Err(StorageError::Corrupt("btree node kind is unknown")),
+            Some(leaf) if leaf != (level == 0) => {
+                return Err(StorageError::Corrupt(
+                    "btree node kind disagrees with its level",
+                ))
+            }
+            Some(true) => node::LEAF_CAP,
+            Some(false) => node::INTERNAL_CAP,
+        };
+        if node::count(&page) > cap {
+            return Err(StorageError::Corrupt("btree node count exceeds its page"));
+        }
+        Ok(page)
     }
 
     // ------------------------------------------------------------ inserts
@@ -302,7 +263,7 @@ impl BTree {
             return self.insert_leaf(pid, key, value);
         }
         let (child, idx) = {
-            let page = self.pool.fetch(pid)?;
+            let page = self.fetch_node(pid, level)?;
             let idx = node::internal_descend_index(&page, key);
             (node::internal_child(&page, idx), idx)
         };
@@ -311,7 +272,7 @@ impl BTree {
         };
         // Child split: hang (sep, right) off this node at position idx.
         let full = {
-            let page = self.pool.fetch(pid)?;
+            let page = self.fetch_node(pid, level)?;
             node::count(&page) >= self.config.max_internal_keys
         };
         if !full {
@@ -345,7 +306,7 @@ impl BTree {
 
     fn insert_leaf(&mut self, pid: PageId, key: i64, value: u64) -> Result<Option<(i64, PageId)>> {
         let full = {
-            let page = self.pool.fetch(pid)?;
+            let page = self.fetch_node(pid, 0)?;
             node::count(&page) >= self.config.max_leaf_entries
         };
         if !full {
@@ -384,7 +345,7 @@ impl BTree {
         let (mut pid, mut pos) = self.find_run_start(key)?;
         loop {
             let found = {
-                let page = self.pool.fetch(pid)?;
+                let page = self.fetch_node(pid, 0)?;
                 let n = node::count(&page);
                 let mut hit = None;
                 while pos < n {
@@ -432,7 +393,7 @@ impl BTree {
 
     fn dump_rec(&self, pid: PageId, level: u32, indent: usize, out: &mut String) -> Result<()> {
         use std::fmt::Write;
-        let page = self.pool.fetch(pid)?;
+        let page = self.fetch_node(pid, level)?;
         let pad = "  ".repeat(indent);
         if level == 0 {
             let entries: Vec<String> = (0..node::count(&page))
@@ -719,6 +680,39 @@ mod tests {
         assert_eq!(restored.height(), t.height());
         assert_eq!(restored.get(42).unwrap(), Some(84));
         assert!(BTree::from_meta_bytes(pool(), &[0u8; 4]).is_err());
+    }
+
+    #[test]
+    fn corrupt_nodes_are_typed_errors_not_panics() {
+        use molap_storage::{DiskManager, PageBuf, PAGE_SIZE};
+        let disk = Arc::new(MemDisk::new());
+        let p = Arc::new(BufferPool::new(disk.clone(), 256));
+        let entries = (0..100).map(|k| (k, k as u64));
+        let t = BTree::bulk_load(p.clone(), small_config(), entries).unwrap();
+        assert!(t.height() >= 1, "the root must be an internal node");
+        p.flush_all().unwrap();
+        let meta = t.meta_to_bytes();
+        let mut clean = Box::new([0u8; PAGE_SIZE]);
+        disk.read_page(t.root, &mut clean).unwrap();
+
+        // A count past the page, an unknown kind byte, a leaf where the
+        // height says internal.
+        let patches: [fn(&mut PageBuf); 3] = [
+            |buf| node::set_count(buf, 0xFFFF),
+            |buf| buf[0] = 7,
+            |buf| node::init_leaf(buf),
+        ];
+        for patch in patches {
+            let mut page = clean.clone();
+            patch(&mut page);
+            disk.write_page(t.root, &page).unwrap();
+            // A fresh pool, so the reads fault the patched page in.
+            let fresh = Arc::new(BufferPool::new(disk.clone(), 256));
+            let r = BTree::from_meta_bytes(fresh, &meta).unwrap();
+            assert!(matches!(r.get(5), Err(StorageError::Corrupt(_))));
+            assert!(matches!(r.scan_eq(5), Err(StorageError::Corrupt(_))));
+            assert!(matches!(r.scan_range(0, 50), Err(StorageError::Corrupt(_))));
+        }
     }
 
     #[test]

@@ -1,12 +1,16 @@
 //! Property-based tests: the paged B+tree must behave exactly like a
 //! sorted multimap model under arbitrary interleavings of inserts,
-//! deletes, point lookups, and range scans.
+//! deletes, point lookups, and range scans, and concurrent readers
+//! sharing one `&BTree` must each see that model.
 
-use std::sync::Arc;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Barrier};
 
 use molap_btree::{BTree, BTreeConfig};
 use molap_storage::{BufferPool, MemDisk};
 use proptest::prelude::*;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -146,4 +150,55 @@ proptest! {
             prop_assert!(tree.get(k).unwrap().is_some());
         }
     }
+}
+
+/// The engine shares one `&BTree` across query sessions and scan
+/// threads. Four readers probe a tree four times larger than its pool,
+/// so their faults evict each other's pages mid-descent, and every
+/// answer must still match the model.
+#[test]
+fn concurrent_readers_match_the_model() {
+    // 2 000 distinct keys, every third integer, ten entries each.
+    let entries: Vec<(i64, u64)> = (0..20_000u64).map(|i| ((i / 10) as i64 * 3, i)).collect();
+    let mut model: BTreeMap<i64, Vec<u64>> = BTreeMap::new();
+    for &(k, v) in &entries {
+        model.entry(k).or_default().push(v);
+    }
+    let disk = Arc::new(MemDisk::new());
+    let pool = Arc::new(BufferPool::new(disk, 24));
+    let config = BTreeConfig {
+        max_leaf_entries: 64,
+        max_internal_keys: 16,
+    };
+    let tree = BTree::bulk_load(pool.clone(), config, entries).unwrap();
+    assert!(tree.height() >= 2);
+    assert!(
+        pool.disk().num_pages() >= 4 * 24,
+        "the tree must outgrow the pool"
+    );
+    let max_key = 3 * 2_000;
+    let start = Barrier::new(4);
+
+    std::thread::scope(|s| {
+        for seed in 0..4u64 {
+            let (tree, model, start) = (&tree, &model, &start);
+            s.spawn(move || {
+                let mut rng = StdRng::seed_from_u64(seed);
+                start.wait();
+                for _ in 0..1_500 {
+                    let k = rng.random_range(-5..max_key + 5);
+                    let run = model.get(&k).map_or(&[][..], Vec::as_slice);
+                    assert_eq!(tree.get(k).unwrap(), run.first().copied(), "get({k})");
+                    assert_eq!(tree.scan_eq(k).unwrap(), run, "scan_eq({k})");
+                    let hi = k + rng.random_range(0..60i64);
+                    let expect: Vec<(i64, u64)> = model
+                        .range(k..=hi)
+                        .flat_map(|(&k, vs)| vs.iter().map(move |&v| (k, v)))
+                        .collect();
+                    assert_eq!(tree.scan_range(k, hi).unwrap(), expect, "range({k},{hi})");
+                }
+            });
+        }
+    });
+    assert!(pool.stats().snapshot().evictions > 0, "probes must evict");
 }

@@ -52,10 +52,9 @@ use crate::Finding;
 /// `catalog` (core), `generations` (result cache: per-array
 /// write generations), `results` (result-cube cache shard), `chunks`
 /// (decoded-chunk cache shard), `versions` (chunk version table:
-/// pinned pre-images for snapshot reads), `tree` (B-tree writer
-/// mutex), `dir`/`pack` (LOB store), `state`/`data` (buffer pool:
-/// shard state, then per-frame latch), `pages` (MemDisk backing
-/// store).
+/// pinned pre-images for snapshot reads), `dir`/`pack` (LOB store),
+/// `state`/`data` (buffer pool: shard state, then per-frame latch),
+/// `pages` (MemDisk backing store).
 ///
 /// The `*_v` names are the optimistic version words (exclusive side is
 /// a spinlock, so it ranks like any lock): each sits directly after
@@ -84,8 +83,6 @@ pub const DECLARED_ORDER: &[&str] = &[
     "chunks_v",
     "chunk_slot",
     "versions",
-    "tree",
-    "tree_v",
     "dir",
     "pack",
     "state",

@@ -1,8 +1,8 @@
 //! Optimistic lock coupling: version-validated reads with escalation.
 //!
-//! The hot read paths of PRs 3–6 (buffer-pool page-table hits,
-//! decoded-chunk cache gets, result-cube cache gets, B-tree probes)
-//! all serialize on a shard mutex even when nothing is being written.
+//! The hot read paths (buffer-pool page-table hits, decoded-chunk
+//! cache gets, result-cube cache gets) all serialize on a shard mutex
+//! even when nothing is being written.
 //! This module supplies the shared primitive that removes the mutex
 //! from their success paths, in the LeanStore/umbra optimistic-lock-
 //! coupling style (ROADMAP item 1): an [`OptLock`] is a seqlock-like
@@ -89,16 +89,6 @@ impl OptLock {
     pub fn begin_optimistic(&self) -> Option<OptimisticGuard<'_>> {
         let seen = self.version.load(Ordering::Acquire);
         (seen & 1 == 0).then_some(OptimisticGuard { lock: self, seen })
-    }
-
-    /// True when the word still holds version `seen` — the deferred
-    /// re-validation used after a guard was [`OptimisticGuard::confirm`]ed
-    /// and released (the B-tree descent re-checks a parent's version
-    /// after faulting the child in, without holding a guard across the
-    /// I/O).
-    pub fn still_valid(&self, seen: u64) -> bool {
-        std::sync::atomic::fence(Ordering::Acquire);
-        self.version.load(Ordering::Relaxed) == seen
     }
 
     /// Acquires the word exclusively (spinning), bumping it odd; the
@@ -189,13 +179,6 @@ impl OptimisticGuard<'_> {
     pub fn validate(&self) -> bool {
         std::sync::atomic::fence(Ordering::Acquire);
         self.lock.version.load(Ordering::Relaxed) == self.seen
-    }
-
-    /// Validates and releases the guard, returning the version it
-    /// proved stable — for deferred [`OptLock::still_valid`] re-checks
-    /// across an operation (an I/O) the guard must not span.
-    pub fn confirm(self) -> Option<u64> {
-        self.validate().then_some(self.seen)
     }
 }
 
@@ -445,11 +428,6 @@ mod tests {
         assert!(g.validate(), "no writer yet");
         drop(l.lock_exclusive()); // version advances by 2
         assert!(!g.validate(), "stale guard must fail");
-        let g2 = l.begin_optimistic().unwrap();
-        let seen = g2.confirm().expect("fresh guard validates");
-        assert!(l.still_valid(seen));
-        drop(l.lock_exclusive());
-        assert!(!l.still_valid(seen));
     }
 
     #[test]

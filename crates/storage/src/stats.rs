@@ -113,12 +113,16 @@ crate::counter_set! {
         /// Optimistic result-cache reads that escalated to the shard mutex.
         opt_result_escalations: sum "escalations",
     }
+    // Nothing writes the three `olc btree` rows: the B-tree has no
+    // optimistic read path. They stay, always zero, because the STATS
+    // wire layout and the benchmark's trace both read them; removing
+    // them is a protocol change.
     "olc btree" {
-        /// Optimistic B-tree probes attempted.
+        /// Unused: always zero (see above).
         opt_btree_reads: sum "reads",
-        /// Restarts burned by optimistic B-tree probes.
+        /// Unused: always zero (see above).
         opt_btree_restarts: sum "restarts",
-        /// Optimistic B-tree probes that escalated to the tree mutex.
+        /// Unused: always zero (see above).
         opt_btree_escalations: sum "escalations",
     }
     "selection" {
@@ -198,21 +202,6 @@ impl IoStats {
                 &self.opt_result_reads,
                 &self.opt_result_restarts,
                 &self.opt_result_escalations,
-            ],
-            restarts,
-            escalated,
-        );
-    }
-
-    /// Records one optimistic B-tree probe (see [`IoStats::opt_pool`]
-    /// for the argument convention).
-    #[inline]
-    pub fn opt_btree(&self, restarts: u64, escalated: bool) {
-        opt_read(
-            [
-                &self.opt_btree_reads,
-                &self.opt_btree_restarts,
-                &self.opt_btree_escalations,
             ],
             restarts,
             escalated,
@@ -411,7 +400,6 @@ mod tests {
         s.opt_pool(3, true);
         s.opt_chunk(0, false);
         s.opt_result(1, true);
-        s.opt_btree(4, false);
         let snap = s.snapshot();
         assert_eq!(
             (
@@ -436,14 +424,6 @@ mod tests {
                 snap.opt_result_escalations
             ),
             (1, 1, 1)
-        );
-        assert_eq!(
-            (
-                snap.opt_btree_reads,
-                snap.opt_btree_restarts,
-                snap.opt_btree_escalations
-            ),
-            (1, 4, 0)
         );
     }
 

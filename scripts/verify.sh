@@ -51,6 +51,9 @@ cargo test -q -p molap-server --features lock-order-tracking --offline
 echo "==> cargo test -p molap-core --features lock-order-tracking"
 cargo test -q -p molap-core --features lock-order-tracking --offline
 
+echo "==> cargo test -p molap-storage --features lock-order-tracking"
+cargo test -q -p molap-storage --features lock-order-tracking --offline
+
 echo "==> bench_pr5 --smoke (result cache: exact hit >= 10x cold, subsumption >= 3x)"
 cargo run -q --release --offline -p molap-bench --bin bench_pr5 -- \
   --smoke --out target/BENCH_PR5.smoke.json > /dev/null
