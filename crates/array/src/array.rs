@@ -197,6 +197,12 @@ impl ChunkedArray {
         self.format
     }
 
+    /// The array's persistent identity: assigned at build, carried in
+    /// the meta blob, so every handle of one array agrees on it.
+    pub fn uid(&self) -> u64 {
+        self.uid
+    }
+
     /// Number of valid cells in the whole array.
     pub fn valid_cells(&self) -> u64 {
         self.valid_cells
@@ -590,12 +596,13 @@ impl ChunkedArray {
     /// Publishes every write applied since the last publish or
     /// rollback: snapshots opened from here on read the new bytes,
     /// older snapshots keep their pinned pre-images (see
-    /// [`VersionTable::commit_publish`]). No-op without an open writer
-    /// ticket.
-    pub fn publish_writes(&mut self) {
-        if let (Some(versions), Some(writer)) = (self.versions.as_deref(), self.writer.take()) {
-            versions.commit_publish(writer);
-        }
+    /// [`VersionTable::commit_publish`]). Returns the commit generation
+    /// it published; `None` (a no-op) without a version table or an
+    /// open writer ticket.
+    pub fn publish_writes(&mut self) -> Option<u64> {
+        let versions = self.versions.as_deref()?;
+        let writer = self.writer.take()?;
+        Some(versions.commit_publish(writer))
     }
 
     /// Drops the open writer ticket's provisional pins without

@@ -294,8 +294,9 @@ impl VersionTable {
     /// committed images superseded at the new generation, so snapshots
     /// opened from here on see the new bytes while older snapshots keep
     /// resolving to the pre-images. Other writers' in-flight pins are
-    /// untouched. Collects any image no live snapshot needs.
-    pub fn commit_publish(&self, writer: u64) {
+    /// untouched. Collects any image no live snapshot needs. Returns
+    /// the new commit generation.
+    pub fn commit_publish(&self, writer: u64) -> u64 {
         let mut state = self.versions.lock();
         state.commit_gen += 1;
         let superseded_at = state.commit_gen;
@@ -322,6 +323,7 @@ impl VersionTable {
         }
         let remaining = state.gc();
         self.pin_count.store(remaining, Ordering::SeqCst);
+        superseded_at
     }
 
     /// Abandons writer `writer`'s batch, dropping its provisional pins.

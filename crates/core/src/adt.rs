@@ -16,7 +16,7 @@
 //!   part of the measured query cost, as in the paper.
 
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use molap_array::{ArrayBuilder, ChunkFormat, ChunkedArray};
 use molap_bitmap::StoredHbi;
@@ -45,15 +45,21 @@ pub(crate) struct DimIndexes {
 }
 
 /// The OLAP Array abstract data type.
+///
+/// A handle is a view of the array as of its open: its chunk directory
+/// is read once, from the catalog or the build. Writes made through the
+/// handle itself keep it current. A caller that keeps a handle across a
+/// commit made through *another* handle, one that relocated a chunk,
+/// must reopen it. Otherwise its own answers read the old locations,
+/// and so do the cubes it puts in the pool's shared result cache, where
+/// other handles find them. `Database::sql` and the server open a fresh
+/// handle per statement.
 pub struct OlapArray {
     pool: Arc<BufferPool>,
     array: ChunkedArray,
     dims: Vec<DimensionTable>,
     dim_indexes: Vec<DimIndexes>,
     i2i_store: LobStore,
-    /// Lazily computed identity fingerprint (see
-    /// [`OlapArray::identity_hash`]).
-    identity: OnceLock<u64>,
     /// Selection-planner routing override ([`PlannerMode`] as a `u8`).
     /// Process-local and not persisted: reopened handles start on
     /// `Auto`. Atomic because parallel consolidations share `&self`.
@@ -178,7 +184,6 @@ impl OlapArray {
             dims,
             dim_indexes,
             i2i_store,
-            identity: OnceLock::new(),
             planner_mode: AtomicU8::new(PlannerMode::Auto as u8),
         })
     }
@@ -388,22 +393,15 @@ impl OlapArray {
             dims,
             dim_indexes,
             i2i_store,
-            identity: OnceLock::new(),
             planner_mode: AtomicU8::new(PlannerMode::Auto as u8),
         })
     }
 
-    /// A stable identity fingerprint for this array: a hash of its
-    /// serialized metadata, so two handles opened over the same pool
-    /// contents (e.g. by successive `Database::sql` calls) share it.
-    /// Used to key the result-cube cache.
+    /// The array's persistent uid ([`ChunkedArray::uid`]): every handle
+    /// of one array shares it, across reopens and across writes, and
+    /// the result-cube cache keys entries by it.
     pub fn identity_hash(&self) -> u64 {
-        *self.identity.get_or_init(|| {
-            use std::hash::Hasher;
-            let mut h = crate::util::FxHasher::default();
-            h.write(&self.meta_to_bytes());
-            h.finish()
-        })
+        self.array.uid()
     }
 
     // ------------------------------------------------- crate-internal

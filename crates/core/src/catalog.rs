@@ -329,11 +329,11 @@ impl Database {
     ///    exactly the committed state, and a crash before it loses the
     ///    batch *wholesale* (the shadow root still points at the
     ///    pre-batch catalog; no torn prefix is possible);
-    /// 4. only then is the batch **published** to readers (and cached
-    ///    result cubes delta-patched). Durability strictly precedes
-    ///    visibility: no reader can observe a batch a crash could still
-    ///    take back. A checkpoint failure rolls the staged batch back
-    ///    and re-catalogs the restored metadata.
+    /// 4. only then is the batch **published** to readers, and the
+    ///    cached result cubes carried to the new generation. Durability
+    ///    strictly precedes visibility: no reader can observe a batch a
+    ///    crash could still take back. A checkpoint failure rolls the
+    ///    staged batch back and re-catalogs the restored metadata.
     ///
     /// Batches from concurrent callers serialize on the pool's commit
     /// section; readers are never blocked.
@@ -374,6 +374,12 @@ impl Database {
     /// the StarJoin — the storage transparency the paper's future work
     /// asks for. `measures` names the cube's measure columns in order
     /// (e.g. `&["volume"]`).
+    ///
+    /// An array statement takes its chunk snapshot *before* it opens
+    /// the array. A commit saves the catalog before it publishes, so the
+    /// handle's metadata is never older than the snapshot, and chunks a
+    /// commit in flight has rewritten resolve to their pinned
+    /// pre-images.
     pub fn sql(&self, statement: &str, measures: &[&str]) -> Result<crate::ConsolidationResult> {
         let name = crate::sql::extract_from(statement)?;
         let kind = {
@@ -385,9 +391,10 @@ impl Database {
         };
         match kind {
             ObjectKind::OlapArray => {
+                let snap = crate::parallel::snapshot(&self.pool);
                 let adt = self.open_olap_array(&name)?;
                 let stmt = crate::sql::parse_query(statement, adt.dims(), measures)?;
-                crate::parallel::consolidate_auto(&adt, &stmt.query)
+                crate::parallel::consolidate_at(&adt, &stmt.query, snap)
             }
             ObjectKind::StarSchema => {
                 let schema = self.open_star_schema(&name)?;
@@ -716,6 +723,53 @@ mod tests {
         assert_eq!(adt.get_by_keys(&[1, 2])?, Some(vec![25]));
         assert_eq!(adt.get_by_keys(&[2, 2])?, Some(vec![5]));
         assert_eq!(adt.valid_cells(), 5);
+        std::fs::remove_file(&path)?;
+        let _ = std::fs::remove_file(wal_path(&path));
+        Ok(())
+    }
+
+    #[test]
+    fn a_read_mid_commit_never_outlives_the_publish() -> TestResult {
+        // A statement that opens the array between a commit's catalog
+        // save and its publish reads the pre-batch state. The cube it
+        // caches must not answer the statements that follow the publish.
+        let path = temp_path("midcommit");
+        let db = Database::create(&path, 1 << 20)?;
+        let adt = OlapArray::build(
+            db.pool().clone(),
+            dims()?,
+            &[2, 2],
+            ChunkFormat::ChunkOffset,
+            cells(),
+            1,
+        )?;
+        db.save_olap_array("sales", &adt)?;
+        db.checkpoint()?;
+        let q = "SELECT SUM(volume) FROM sales";
+        assert_eq!(
+            db.sql(q, &["volume"])?.rows()[0].values[0].as_int(),
+            Some(100)
+        );
+
+        let mut adt = db.open_olap_array("sales")?;
+        let rows = vec![(vec![2i64, 2], vec![5i64])]; // a hole: the cell count changes
+        let pending =
+            crate::write::stage_cells(&mut adt, &rows, crate::write::CubeMaintenance::Delta)?;
+        db.save_olap_array("sales", &adt)?;
+        let mid = db.sql(q, &["volume"])?;
+        assert_eq!(
+            mid.rows()[0].values[0].as_int(),
+            Some(100),
+            "not yet published"
+        );
+        db.checkpoint()?;
+        pending.publish(&mut adt)?;
+
+        let after = db.sql(q, &["volume"])?;
+        assert_eq!(after.rows()[0].values[0].as_int(), Some(105));
+        let query = Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]);
+        assert_eq!(after, db.open_olap_array("sales")?.consolidate(&query)?);
+        drop((adt, db));
         std::fs::remove_file(&path)?;
         let _ = std::fs::remove_file(wal_path(&path));
         Ok(())

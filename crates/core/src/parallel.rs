@@ -20,8 +20,11 @@
 //! full scan is the selection with no membership mask, which always
 //! takes the scan direction.
 
+use std::sync::Arc;
+
 use molap_array::diffseq::DiffSeqCursor;
-use molap_array::{shared_version_table, ChunkPayload, ChunkPipeline};
+use molap_array::{shared_version_table, ChunkPayload, ChunkPipeline, ChunkSnapshot};
+use molap_storage::BufferPool;
 
 use crate::adt::OlapArray;
 use crate::consolidate::{make_cube, phase1, GroupMap};
@@ -84,19 +87,31 @@ pub fn consolidate_pipelined(
     workers: usize,
     plan: PrefetchPlan,
 ) -> Result<ConsolidationResult> {
-    let (_, cube) = consolidate_pipelined_cube(adt, query, workers, plan)?;
+    let (_, cube) = consolidate_pipelined_cube(adt, query, workers, plan, snapshot(adt.pool()))?;
     cube.into_result(&query.aggs)
+}
+
+/// Registers a reader at the pool's current commit generation, when the
+/// pool has a version table.
+pub(crate) fn snapshot(pool: &Arc<BufferPool>) -> Option<ChunkSnapshot> {
+    shared_version_table(pool).map(|vt| vt.begin_snapshot())
 }
 
 /// [`consolidate_pipelined`] stopping at the positional result cube —
 /// the form the result-cube cache stores — beside the phase-1 group
 /// maps it was aggregated through, which materialization builds its
-/// result dimensions from.
+/// result dimensions from. Every chunk is read under `snap`, so a write
+/// batch committing mid-scan cannot hand later chunks a newer array
+/// state than earlier ones saw: the pipeline resolves each chunk
+/// against the version table as of the snapshot's generation, reading
+/// pinned pre-images where a writer has since overwritten bytes in
+/// place.
 pub(crate) fn consolidate_pipelined_cube(
     adt: &OlapArray,
     query: &Query,
     workers: usize,
     plan: PrefetchPlan,
+    snap: Option<ChunkSnapshot>,
 ) -> Result<(Vec<GroupMap>, ResultCube)> {
     query.validate(adt.dims(), adt.n_measures())?;
     let workers = workers.max(1);
@@ -119,12 +134,6 @@ pub(crate) fn consolidate_pipelined_cube(
         ((0..shape.num_chunks()).collect(), None)
     };
 
-    // Pin a chunk snapshot so a write batch committing mid-scan cannot
-    // hand later chunks a newer array state than earlier ones saw: the
-    // pipeline resolves every chunk against the version table as of
-    // this generation, reading pinned pre-images where a writer has
-    // since overwritten bytes in place.
-    let snap = shared_version_table(adt.pool()).map(|vt| vt.begin_snapshot());
     // Building the pipeline resolves every candidate that already has a
     // decoded image, right here on the calling thread; only the misses
     // are left for producers.
@@ -270,28 +279,48 @@ fn consume_pipeline(
 /// finer one coarsened by pure in-memory re-aggregation (see
 /// [`crate::rescache`]); both are bit-identical to computing directly.
 /// A true miss goes through [`consolidate_pipelined`] whatever the
-/// array's size, so every scan reads under one chunk snapshot.
+/// array's size. The statement takes one chunk snapshot first and uses
+/// it for the cache lookup, the scan and the cached cube's stamp.
+///
+/// `adt` is read as of its open (see [`OlapArray`]): a handle kept
+/// across a relocating commit made through another handle must be
+/// reopened first, for its own answers and for the shared cache, which
+/// other handles of the array read. `Database::sql` and the server open
+/// a fresh handle per statement.
 pub fn consolidate_auto(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
+    consolidate_at(adt, query, snapshot(adt.pool()))
+}
+
+/// [`consolidate_auto`] under a snapshot the caller took: `Database::sql`
+/// takes it before it opens the array, so the handle's metadata is
+/// never older than the state the statement reads.
+pub(crate) fn consolidate_at(
+    adt: &OlapArray,
+    query: &Query,
+    snap: Option<ChunkSnapshot>,
+) -> Result<ConsolidationResult> {
     query.validate(adt.dims(), adt.n_measures())?;
-    crate::rescache::consolidate_cached(adt, query, || {
-        consolidate_cube_auto(adt, query).map(|(_, cube)| cube)
+    crate::rescache::consolidate_cached(adt, query, snap, |snap| {
+        consolidate_cube_auto(adt, query, snap).map(|(_, cube)| cube)
     })
 }
 
 /// The compute path behind [`consolidate_auto`], [`crate::compute_cube`]
 /// and [`OlapArray::consolidate_to_array`]: the pipeline at the staffing
-/// the job's size and the machine suggest, stopping at the positional
-/// cube and its group maps.
+/// the job's size and the machine suggest, under `snap`, stopping at
+/// the positional cube and its group maps.
 pub(crate) fn consolidate_cube_auto(
     adt: &OlapArray,
     query: &Query,
+    snap: Option<ChunkSnapshot>,
 ) -> Result<(Vec<GroupMap>, ResultCube)> {
     let num_chunks = adt.array().shape().num_chunks();
     let cpus = std::thread::available_parallelism()
         .map(|n| n.get() as u64)
         .unwrap_or(1);
     let workers = cpus.min(num_chunks / AUTO_MIN_CHUNKS_PER_WORKER).max(1);
-    consolidate_pipelined_cube(adt, query, workers as usize, PrefetchPlan::auto(num_chunks))
+    let plan = PrefetchPlan::auto(num_chunks);
+    consolidate_pipelined_cube(adt, query, workers as usize, plan, snap)
 }
 
 #[cfg(test)]

@@ -12,9 +12,10 @@
 //!
 //! # Keying
 //!
-//! Entries are keyed by [`CacheKey`]: the array's identity hash (a
-//! hash of its serialized metadata, stable across reopens — needed
-//! because `Database::sql` reopens the ADT per statement), the
+//! Entries are keyed by [`CacheKey`]: the array's persistent uid
+//! ([`OlapArray::identity_hash`], assigned at build and carried in the
+//! array's metadata, so the per-statement reopens of `Database::sql`
+//! and the array's own writes all keep it), the
 //! per-dimension groupings, and the canonicalized selections
 //! (`Pred::In` lists sorted + deduped, so two spellings of one value
 //! set share an entry). The *aggregate functions are deliberately not
@@ -40,14 +41,28 @@
 //!
 //! # Invalidation
 //!
-//! Correctness over two signals, both checked lazily at lookup:
+//! Each entry carries a [`Stamp`] of three values, all captured before
+//! the cube was computed:
 //!
 //! * the pool's clear-epoch — `BufferPool::clear` bumps it, so cached
 //!   results never leak across the paper's cold-run boundary;
-//! * a per-array write generation — the write path bumps it *before*
-//!   swapping delta-patched clones in (see [`PatchSession`]), so an
-//!   entry inserted from a pre-write computation is stamped stale and
-//!   dropped on its next probe instead of shadowing the patch.
+//! * the cache-wide write generation — [`ResultCache::bump_write_gen`]
+//!   cools every entry on the pool at once;
+//! * the commit generation of the [`ChunkSnapshot`] the cube was read
+//!   under. [`crate::consolidate_auto`] takes one snapshot per
+//!   statement and uses it for the lookup, the compute and the stamp,
+//!   so an entry reflects exactly the array state of its generation.
+//!
+//! A lookup hits only when all three equal the reader's. An insert
+//! never replaces an entry stamped with a newer generation, so a slow
+//! reader cannot push an old answer over a fresh one. A commit that
+//! publishes generation `g + 1` runs [`maintain`] once, inside its
+//! commit section: it patches the written array's live entries stamped
+//! `g` with the batch's cell deltas and re-stamps every other array's
+//! live entries from `g` to `g + 1`. Anything it does not carry
+//! forward (a MIN/MAX fallback, an entry inserted at `g` after the
+//! pass, an entry already cooled by `bump_write_gen` or a pool clear)
+//! stays at `g` and is never served to a later snapshot.
 //!
 //! # Locking
 //!
@@ -65,26 +80,26 @@
 //! Exact-hit lookups never take the shard `results` mutex. Each shard
 //! mirrors up to [`SLOTS_PER_SHARD`] entries into an
 //! [`AtomicIndex`] (key hash → slot) plus per-entry `result_slot`
-//! mutexes holding `(key, stamps, Arc<ResultCube>)`. A get reads the
-//! global and per-array write generations *first* (`generations` ranks
-//! before `results_v` in the lock order, and the mutex path reads them
-//! in this order too — same TOCTOU either way), then probes under a
+//! mutexes holding `(key, stamp, Arc<ResultCube>)`. A get brings the
+//! stamp its statement captured and probes under an
 //! [`OptLock`] (`results_v`) optimistic guard: index probe, slot lock,
-//! full key + epoch + generation compare, `Arc` clone out. Hits are
+//! full key + stamp compare, `Arc` clone out. Hits are
 //! self-validating (the compare happens under the slot mutex), touch
 //! the second-chance bit via a relaxed per-slot atomic, and never
 //! block on the shard. Anything else — hash collision, stale stamps,
 //! version conflict after [`molap_storage::MAX_RESTARTS`] retries —
 //! falls back to the `results` mutex path, which alone drops stale
 //! entries and serves overflow entries the mirror had no slot for.
-//! All mutations hold the shard mutex, take `results_v` exclusively,
-//! and update slots under their mutexes.
+//! All mutations hold the shard mutex and update slots under their
+//! mutexes; those that change the index also take `results_v`
+//! exclusively.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use molap_array::ChunkSnapshot;
 use molap_storage::util::fib_shard;
 use molap_storage::{AtomicIndex, BufferPool, IoStats, OptLock, OptProbe, OptRead};
 use parking_lot::Mutex;
@@ -138,14 +153,20 @@ impl CacheKey {
     }
 }
 
+/// What a cube was computed under, and what a lookup must match (see
+/// the module docs): the pool's clear epoch, the cache's write
+/// generation, and the commit generation of the chunk snapshot.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) struct Stamp {
+    pub epoch: u64,
+    pub write_gen: u64,
+    pub gen: u64,
+}
+
 struct CacheEntry {
     cube: Arc<ResultCube>,
     bytes: usize,
-    epoch: u64,
-    write_gen: u64,
-    /// Per-array write generation the entry was computed at (see
-    /// [`ResultCache::array_gen`]).
-    array_gen: u64,
+    stamp: Stamp,
     referenced: bool,
     /// Mirror slot serving lock-free gets, `None` for overflow entries
     /// (mirror full) — those are served by the mutex path only.
@@ -159,9 +180,7 @@ const SLOTS_PER_SHARD: usize = 64;
 /// Published copy of one mirrored entry, read by optimistic gets.
 struct SlotData {
     key: Arc<CacheKey>,
-    epoch: u64,
-    write_gen: u64,
-    array_gen: u64,
+    stamp: Stamp,
     cube: Arc<ResultCube>,
 }
 
@@ -312,18 +331,9 @@ pub struct ResultCache {
     shards: Vec<CacheShard>,
     /// Byte cap per shard (total cap / shard count).
     shard_capacity: usize,
-    /// Bumped by every write to any array on the pool; entries stamped
-    /// with an older generation read as cold.
+    /// Bumped to cool every entry on the pool at once; entries stamped
+    /// with an older value read as cold.
     write_gen: AtomicU64,
-    /// Per-array write generations (array identity hash → generation).
-    /// Delta maintenance bumps *one* array's generation and re-inserts
-    /// the patched cubes at the new one, so writes to array A never
-    /// cool entries for array B — and any same-array entry the patch
-    /// pass missed (inserted concurrently, or dropped to the MIN/MAX
-    /// fallback) reads as cold at its next lookup. The field name
-    /// `generations` is its workspace lock-order rank (DESIGN.md §8);
-    /// nothing else is ever locked while it is held.
-    generations: Mutex<HashMap<u64, u64>>,
 }
 
 impl ResultCache {
@@ -334,7 +344,6 @@ impl ResultCache {
             shards: (0..CACHE_SHARDS).map(|_| CacheShard::new()).collect(),
             shard_capacity: capacity_bytes / CACHE_SHARDS,
             write_gen: AtomicU64::new(0),
-            generations: Mutex::new(HashMap::new()),
         }
     }
 
@@ -355,86 +364,34 @@ impl ResultCache {
         self.write_gen.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// The current write generation of one array (0 until its first
-    /// delta-maintained write).
-    pub fn array_gen(&self, array_id: u64) -> u64 {
-        self.generations.lock().get(&array_id).copied().unwrap_or(0)
-    }
-
-    /// Advances one array's write generation, invalidating every entry
-    /// for it that is not re-inserted at the new generation.
-    pub fn bump_array_gen(&self, array_id: u64) -> u64 {
-        let mut gens = self.generations.lock();
-        let gen = gens.entry(array_id).or_insert(0);
-        *gen += 1;
-        *gen
-    }
-
-    /// Looks up an exact entry, treating entries stamped with a
-    /// different pool epoch or write generation (global or per-array)
-    /// as cold (dropped on the spot).
-    pub fn get(&self, key: &CacheKey, epoch: u64) -> Option<Arc<ResultCube>> {
-        self.get_with(key, epoch, None)
-    }
-
-    /// [`ResultCache::get`], recording the optimistic probe's outcome
-    /// (reads / restarts / escalations) into `stats`.
-    pub fn get_tracked(
+    /// Looks up the entry for `key` stamped exactly `stamp`, recording
+    /// the optimistic probe's outcome (reads / restarts / escalations)
+    /// into `stats`. An entry with another stamp is dropped on the
+    /// spot, unless its generation is newer than `stamp`'s: that one
+    /// serves later snapshots and stays.
+    pub(crate) fn get(
         &self,
         key: &CacheKey,
-        epoch: u64,
-        stats: &IoStats,
-    ) -> Option<Arc<ResultCube>> {
-        self.get_with(key, epoch, Some(stats))
-    }
-
-    fn get_with(
-        &self,
-        key: &CacheKey,
-        epoch: u64,
+        stamp: Stamp,
         stats: Option<&IoStats>,
     ) -> Option<Arc<ResultCube>> {
-        // Generations are read *before* the optimistic section:
-        // `array_gen` locks `generations`, which ranks ahead of
-        // `results_v` in the workspace lock order — and the mutex path
-        // reads them in this same order, so the lookup races a
-        // concurrent generation bump identically either way.
-        let write_gen = self.write_gen();
-        let array_gen = self.array_gen(key.array_id);
         let shard = self.shard(key);
-        match Self::get_opt(shard, key, epoch, write_gen, array_gen) {
-            OptRead::Hit { value, restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), false);
-                }
-                Some(value)
-            }
-            OptRead::Miss { restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), false);
-                }
-                self.get_locked(shard, key, epoch, write_gen, array_gen)
-            }
-            OptRead::Escalated { restarts } => {
-                if let Some(stats) = stats {
-                    stats.opt_result(u64::from(restarts), true);
-                }
-                self.get_locked(shard, key, epoch, write_gen, array_gen)
-            }
+        let (hit, restarts, escalated) = match Self::get_opt(shard, key, stamp) {
+            OptRead::Hit { value, restarts } => (Some(value), restarts, false),
+            OptRead::Miss { restarts } => (None, restarts, false),
+            OptRead::Escalated { restarts } => (None, restarts, true),
+        };
+        if let Some(stats) = stats {
+            stats.opt_result(u64::from(restarts), escalated);
         }
+        hit.or_else(|| Self::get_locked(shard, key, stamp))
     }
 
     /// The lock-free fast path: probe the mirror under an optimistic
-    /// guard. Hits are self-validating (full key + stamps compared
+    /// guard. Hits are self-validating (full key + stamp compared
     /// under the slot mutex); a miss only means "not answerable
     /// without the shard mutex".
-    fn get_opt(
-        shard: &CacheShard,
-        key: &CacheKey,
-        epoch: u64,
-        write_gen: u64,
-        array_gen: u64,
-    ) -> OptRead<Arc<ResultCube>> {
+    fn get_opt(shard: &CacheShard, key: &CacheKey, stamp: Stamp) -> OptRead<Arc<ResultCube>> {
         let hash = key.hash64();
         shard.results_v.optimistic_read(|_guard| {
             let Some(idx) = shard.index.probe(hash) else {
@@ -445,12 +402,7 @@ impl ResultCache {
             };
             let data = slot.result_slot.lock();
             match data.as_ref() {
-                Some(d)
-                    if *d.key == *key
-                        && d.epoch == epoch
-                        && d.write_gen == write_gen
-                        && d.array_gen == array_gen =>
-                {
+                Some(d) if *d.key == *key && d.stamp == stamp => {
                     let cube = d.cube.clone();
                     drop(data);
                     slot.referenced.store(true, Ordering::Relaxed);
@@ -465,54 +417,28 @@ impl ResultCache {
 
     /// The mutex path: authoritative lookup, eager stale-entry drop,
     /// and the only server of overflow (unmirrored) entries.
-    fn get_locked(
-        &self,
-        shard: &CacheShard,
-        key: &CacheKey,
-        epoch: u64,
-        write_gen: u64,
-        array_gen: u64,
-    ) -> Option<Arc<ResultCube>> {
+    fn get_locked(shard: &CacheShard, key: &CacheKey, stamp: Stamp) -> Option<Arc<ResultCube>> {
         let mut m = shard.results.lock();
         match m.map.get_mut(key) {
-            Some(entry)
-                if entry.epoch == epoch
-                    && entry.write_gen == write_gen
-                    && entry.array_gen == array_gen =>
-            {
+            Some(entry) if entry.stamp == stamp => {
                 entry.referenced = true;
                 Some(entry.cube.clone())
             }
-            Some(_) => {
+            Some(entry) if entry.stamp.gen <= stamp.gen => {
                 shard.remove_entry(&mut m, key);
                 None
             }
-            None => None,
+            _ => None,
         }
     }
 
-    /// Inserts a result cube stamped with the *current* generations
-    /// (see [`ResultCache::insert_at`] for the race-safe variant).
-    pub fn insert(&self, key: CacheKey, cube: Arc<ResultCube>, epoch: u64) -> u64 {
-        let write_gen = self.write_gen();
-        let array_gen = self.array_gen(key.array_id);
-        self.insert_at(key, cube, epoch, write_gen, array_gen)
-    }
-
-    /// Inserts a result cube stamped with generations captured by the
-    /// caller *before* it computed the cube, evicting as needed;
-    /// returns how many entries were evicted. A write committing
-    /// mid-computation advances a generation, so the stale cube goes
-    /// in already-cold and can never serve a lookup. Cubes larger than
-    /// a whole shard's budget are not cached.
-    pub fn insert_at(
-        &self,
-        key: CacheKey,
-        cube: Arc<ResultCube>,
-        epoch: u64,
-        write_gen: u64,
-        array_gen: u64,
-    ) -> u64 {
+    /// Inserts a result cube stamped with what its computation read
+    /// under, captured by the caller *before* it computed the cube, and
+    /// evicts as needed; returns how many entries were evicted. An
+    /// entry stamped with a newer generation is kept and the insert
+    /// skipped. Cubes larger than a whole shard's budget are not
+    /// cached.
+    pub(crate) fn insert(&self, key: CacheKey, cube: Arc<ResultCube>, stamp: Stamp) -> u64 {
         let bytes = cube.approx_bytes();
         if bytes == 0 || bytes > self.shard_capacity {
             return 0;
@@ -521,7 +447,10 @@ impl ResultCache {
         let mut evicted = 0u64;
         let shard = self.shard(&key);
         let mut m = shard.results.lock();
-        shard.remove_entry(&mut m, &key); // replace any stale entry under the same key
+        if m.map.get(&key).is_some_and(|e| e.stamp.gen > stamp.gen) {
+            return 0;
+        }
+        shard.remove_entry(&mut m, &key); // replace any older entry under the same key
         while m.bytes + bytes > self.shard_capacity {
             if !shard.evict_one(&mut m) {
                 return evicted; // nothing evictable; skip caching
@@ -535,47 +464,75 @@ impl ResultCache {
             CacheEntry {
                 cube: cube.clone(),
                 bytes,
-                epoch,
-                write_gen,
-                array_gen,
+                stamp,
                 referenced: true,
                 slot,
             },
         );
         m.ring.push(key.clone());
         if let Some(idx) = slot {
-            shard.publish_slot(
-                &m,
-                idx,
-                SlotData {
-                    key,
-                    epoch,
-                    write_gen,
-                    array_gen,
-                    cube,
-                },
-            );
+            shard.publish_slot(&m, idx, SlotData { key, stamp, cube });
         }
         evicted
     }
 
-    /// Clones out every live entry for `array_id` — the subsumption
-    /// scan's candidate set. Shards are locked strictly one at a time
-    /// and stale entries are skipped (their lazy removal happens on
-    /// their own lookups), so this never holds two `results` mutexes.
+    /// Clones out every entry for `array_id` stamped with `epoch` and
+    /// the current write generation, whatever snapshot generation it
+    /// was computed at. Shards are locked strictly one at a time, so
+    /// this never holds two `results` mutexes.
     pub fn candidates(&self, array_id: u64, epoch: u64) -> Vec<(Arc<CacheKey>, Arc<ResultCube>)> {
         let write_gen = self.write_gen();
-        let array_gen = self.array_gen(array_id);
+        self.entries_where(array_id, |s| s.epoch == epoch && s.write_gen == write_gen)
+    }
+
+    /// Clones out `array_id`'s entries whose stamp passes `keep`,
+    /// locking one shard at a time.
+    fn entries_where(
+        &self,
+        array_id: u64,
+        keep: impl Fn(&Stamp) -> bool,
+    ) -> Vec<(Arc<CacheKey>, Arc<ResultCube>)> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let guard = shard.results.lock();
             for (key, entry) in &guard.map {
-                if key.array_id == array_id
-                    && entry.epoch == epoch
-                    && entry.write_gen == write_gen
-                    && entry.array_gen == array_gen
-                {
+                if key.array_id == array_id && keep(&entry.stamp) {
                     out.push((key.clone(), entry.cube.clone()));
+                }
+            }
+        }
+        out
+    }
+
+    /// The cache's half of a commit to `array_id`: every live entry is
+    /// stamped `from`, and the commit published `to`. Every other
+    /// array's entry stamped `from` is re-stamped `to` in place, since
+    /// the commit did not change its data. `array_id`'s entries stamped
+    /// `from` are cloned out for [`maintain`] to patch and re-insert.
+    /// Entries with any other stamp are dead and left alone. Shards are
+    /// locked one at a time.
+    fn advance(
+        &self,
+        array_id: u64,
+        from: Stamp,
+        to: Stamp,
+    ) -> Vec<(Arc<CacheKey>, Arc<ResultCube>)> {
+        let mut out = Vec::new();
+        for shard in &self.shards {
+            let mut m = shard.results.lock();
+            for (key, entry) in m.map.iter_mut() {
+                if entry.stamp != from {
+                    continue;
+                }
+                if key.array_id == array_id {
+                    out.push((key.clone(), entry.cube.clone()));
+                    continue;
+                }
+                entry.stamp = to;
+                if let Some(slot) = entry.slot.and_then(|i| shard.slots.get(i)) {
+                    if let Some(data) = slot.result_slot.lock().as_mut() {
+                        data.stamp = to;
+                    }
                 }
             }
         }
@@ -598,7 +555,7 @@ impl ResultCache {
     }
 
     /// Removes one entry (delta-maintenance MIN/MAX fallback: the cube
-    /// is recomputed lazily at its next lookup).
+    /// is recomputed at its next lookup).
     fn remove_entry(&self, key: &CacheKey) {
         let shard = self.shard(key);
         let mut m = shard.results.lock();
@@ -615,9 +572,11 @@ pub fn shared_result_cache(pool: &Arc<BufferPool>) -> Option<Arc<ResultCache>> {
     pool.extension_or_init(|| Arc::new(ResultCache::new(budget)))
 }
 
-/// Write-path hook: a cell of some array on `pool` changed, so every
-/// cached result on the pool is suspect. Installing the (empty) cache
-/// just to bump its generation is harmless.
+/// Write-path fallback for a commit that runs no [`maintain`] pass
+/// (the [`crate::CubeMaintenance::InvalidateAll`] baseline, or a pool
+/// without a version table): every cached result on the pool goes
+/// cold. Installing the (empty) cache just to bump its generation is
+/// harmless.
 pub(crate) fn invalidate_writes(pool: &Arc<BufferPool>) {
     if let Some(cache) = shared_result_cache(pool) {
         cache.bump_write_gen();
@@ -625,165 +584,114 @@ pub(crate) fn invalidate_writes(pool: &Arc<BufferPool>) {
     }
 }
 
-/// A delta-maintenance pass over one array's cached result cubes,
-/// opened by the batched write path (`core::write`) *before* the first
-/// chunk byte is overwritten and committed after the batch is durable
-/// and published. The bracket matters twice over:
+/// Carries the pool's cached cubes across a commit of `deltas` to `adt`
+/// that published generation `gen`, and returns the `(patched,
+/// dropped)` entry counts. Runs after the publish and inside the commit
+/// section, so no other commit interleaves: every entry stamped
+/// `gen - 1` holds exactly the pre-batch state.
 ///
-/// * the candidate set is snapshotted pre-write, so a cube computed
-///   from a torn mid-batch read can never be patched — anything
-///   inserted while the batch applies was stamped with generations
-///   captured before its own compute and goes cold at the commit's
-///   generation bump;
-/// * the bump-then-swap order in [`PatchSession::commit`] means a
-///   concurrent lookup sees either the old generation's entries
-///   (pre-batch results — the batch has not logically committed for
-///   the cache yet) or the new generation's patched cubes, never a
-///   half-maintained mixture.
-pub struct PatchSession {
-    cache: Arc<ResultCache>,
-    array_id: u64,
-    epoch: u64,
-    entries: Vec<(Arc<CacheKey>, Arc<ResultCube>)>,
-}
-
-/// Opens a [`PatchSession`] over the cached cubes of `array_id`. Call
-/// before the first chunk overwrite of a write batch. `None` when the
-/// pool has no result cache (every extension slot claimed by other
-/// types) — the caller then has nothing to maintain.
-pub(crate) fn begin_write_patch(pool: &Arc<BufferPool>, array_id: u64) -> Option<PatchSession> {
-    let cache = shared_result_cache(pool)?;
-    let epoch = pool.epoch();
-    let entries = cache.candidates(array_id, epoch);
-    Some(PatchSession {
-        cache,
-        array_id,
-        epoch,
-        entries,
-    })
-}
-
-impl PatchSession {
-    /// Applies the committed batch's cell `deltas` to every snapshotted
-    /// cube and swaps the results in at the array's next write
-    /// generation. Returns `(patched, dropped)` entry counts.
-    ///
-    /// Per entry: each delta's coordinates run through the same
-    /// IndexToIndex remaps the consolidation kernels use (key → rank
-    /// for `Key` groupings, `load_i2i` for `Level`), the entry's
-    /// selections decide membership (writes change measures, never
-    /// coordinates, so membership is stable), and the addressed result
-    /// cell is patched through [`ResultCube::patch_cell`] on a private
-    /// clone. A shrinking MIN/MAX extreme makes the entry unpatchable:
-    /// it is dropped and recomputes lazily. Entries no delta reaches
-    /// are re-stamped unchanged, keeping them warm.
-    ///
-    /// Must be called *after* the batch is published to snapshot
-    /// readers; until then lookups serve the old generation's
-    /// (pre-batch) results, which is the correct serialization order.
-    pub(crate) fn commit(self, adt: &OlapArray, deltas: &[CellDelta]) -> Result<(u64, u64)> {
-        let write_gen = self.cache.write_gen();
-        // Phase B: patch private clones, no cache lock held. `load_i2i`
-        // reads LOBs through the pool, which is why this cannot run
-        // under a `results` mutex.
-        let mut keep: Vec<(Arc<CacheKey>, Arc<ResultCube>, bool)> = Vec::new();
-        let mut dropped: Vec<Arc<CacheKey>> = Vec::new();
-        let outcome = patch_entries(adt, &self.entries, deltas, &mut keep, &mut dropped);
-        // Phase C: advance the array generation first — every entry not
-        // re-inserted below (fallbacks, racing inserts) is now cold —
-        // then swap the maintained cubes in at the new generation.
-        let array_gen = self.cache.bump_array_gen(self.array_id);
-        // An error while patching (I/O under load_i2i) leaves all
-        // entries cold rather than stale: correct, merely colder.
-        outcome?;
-        let stats = adt.pool().stats();
-        let mut evicted = 0u64;
-        let mut n_patched = 0u64;
-        for (key, cube, touched) in keep {
-            evicted += self
-                .cache
-                .insert_at((*key).clone(), cube, self.epoch, write_gen, array_gen);
-            if touched {
-                n_patched += 1;
-                stats.result_cache_patched.inc();
+/// Only live entries are carried: those stamped with the pool's epoch
+/// and the cache's write generation. Other arrays' entries are
+/// re-stamped unchanged (see [`ResultCache::advance`]). For each of
+/// `adt`'s entries, every delta's coordinates run through the same
+/// IndexToIndex remaps the consolidation kernels use (key → rank for
+/// `Key` groupings, `load_i2i` for `Level`), the entry's selections
+/// decide membership (writes change measures, never coordinates, so
+/// membership is stable), and the addressed result cell is patched
+/// through [`ResultCube::patch_cell`] on a private clone, re-inserted
+/// at `gen`.
+/// A shrinking MIN/MAX extreme makes the entry unpatchable: it is
+/// dropped and recomputed at its next lookup. An error (I/O under
+/// `load_i2i`) leaves the remaining entries at `gen - 1`: cold, never
+/// stale.
+pub(crate) fn maintain(adt: &OlapArray, gen: u64, deltas: &[CellDelta]) -> Result<(u64, u64)> {
+    let Some(cache) = shared_result_cache(adt.pool()) else {
+        return Ok((0, 0));
+    };
+    let stats = adt.pool().stats();
+    let to = Stamp {
+        epoch: adt.pool().epoch(),
+        write_gen: cache.write_gen(),
+        gen,
+    };
+    let from = Stamp { gen: gen - 1, ..to };
+    let (mut patched, mut dropped) = (0u64, 0u64);
+    for (key, cube) in cache.advance(adt.identity_hash(), from, to) {
+        match patch_cube(adt, &key, &cube, deltas)? {
+            Some((cube, touched)) => {
+                let evicted = cache.insert((*key).clone(), cube, to);
+                stats.result_cache_evictions.add(evicted);
+                if touched {
+                    patched += 1;
+                    stats.result_cache_patched.inc();
+                }
+            }
+            None => {
+                cache.remove_entry(&key);
+                dropped += 1;
+                stats.result_cache_fallbacks.inc();
             }
         }
-        for key in &dropped {
-            self.cache.remove_entry(key);
-            stats.result_cache_fallbacks.inc();
-        }
-        stats.result_cache_evictions.add(evicted);
-        Ok((n_patched, dropped.len() as u64))
     }
+    Ok((patched, dropped))
 }
 
-/// Phase B worker for [`PatchSession::commit`]: sorts every entry into
-/// `keep` (with its maintained cube and whether any delta touched it)
-/// or `dropped` (MIN/MAX fallback / unmappable).
-fn patch_entries(
+/// Applies `deltas` to one cached cube: `Some((cube, touched))` with
+/// the maintained cube and whether any delta reached it, or `None` when
+/// the entry must be dropped (a MIN/MAX fallback or an unmappable
+/// coordinate).
+fn patch_cube(
     adt: &OlapArray,
-    entries: &[(Arc<CacheKey>, Arc<ResultCube>)],
+    key: &CacheKey,
+    cube: &Arc<ResultCube>,
     deltas: &[CellDelta],
-    keep: &mut Vec<(Arc<CacheKey>, Arc<ResultCube>, bool)>,
-    dropped: &mut Vec<Arc<CacheKey>>,
-) -> Result<()> {
+) -> Result<Option<(Arc<ResultCube>, bool)>> {
     let n_measures = adt.n_measures();
-    'entry: for (key, cube) in entries {
-        if key.group_by.len() != adt.dims().len() {
-            dropped.push(key.clone());
-            continue;
-        }
-        // Coordinate → rank remap per grouped dimension, exactly as the
-        // kernels build them (§3.4 IndexToIndex).
-        let mut remaps: Vec<(usize, Vec<u32>)> = Vec::new();
-        for (d, g) in key.group_by.iter().enumerate() {
-            match g {
-                DimGrouping::Drop => {}
-                DimGrouping::Key => remaps.push((d, adt.key_i2i(d).0)),
-                DimGrouping::Level(l) => remaps.push((d, adt.load_i2i(d, *l)?)),
-            }
-        }
-        let mut clone: Option<ResultCube> = None;
-        let mut ranks = vec![0u32; remaps.len()];
-        let mut cell_deltas: Vec<(Option<i64>, i64)> = Vec::with_capacity(n_measures);
-        for delta in deltas {
-            if delta.old.as_deref() == Some(&delta.new[..]) {
-                continue; // no-op rewrite
-            }
-            match delta_selected(adt, key, &delta.coords) {
-                Some(true) => {}
-                Some(false) => continue, // outside the entry's slice
-                None => {
-                    dropped.push(key.clone());
-                    continue 'entry;
-                }
-            }
-            for (i, (d, map)) in remaps.iter().enumerate() {
-                match map.get(delta.coords[*d] as usize) {
-                    Some(&r) => ranks[i] = r,
-                    None => {
-                        dropped.push(key.clone());
-                        continue 'entry;
-                    }
-                }
-            }
-            let target = clone.get_or_insert_with(|| (**cube).clone());
-            let cell = target.linear(&ranks);
-            cell_deltas.clear();
-            for m in 0..n_measures {
-                cell_deltas.push((delta.old.as_ref().map(|o| o[m]), delta.new[m]));
-            }
-            if !target.patch_cell(cell, &cell_deltas) {
-                dropped.push(key.clone());
-                continue 'entry;
-            }
-        }
-        match clone {
-            Some(patched) => keep.push((key.clone(), Arc::new(patched), true)),
-            None => keep.push((key.clone(), cube.clone(), false)),
+    if key.group_by.len() != adt.dims().len() {
+        return Ok(None);
+    }
+    // Coordinate → rank remap per grouped dimension, exactly as the
+    // kernels build them (§3.4 IndexToIndex).
+    let mut remaps: Vec<(usize, Vec<u32>)> = Vec::new();
+    for (d, g) in key.group_by.iter().enumerate() {
+        match g {
+            DimGrouping::Drop => {}
+            DimGrouping::Key => remaps.push((d, adt.key_i2i(d).0)),
+            DimGrouping::Level(l) => remaps.push((d, adt.load_i2i(d, *l)?)),
         }
     }
-    Ok(())
+    let mut clone: Option<ResultCube> = None;
+    let mut ranks = vec![0u32; remaps.len()];
+    let mut cell_deltas: Vec<(Option<i64>, i64)> = Vec::with_capacity(n_measures);
+    for delta in deltas {
+        if delta.old.as_deref() == Some(&delta.new[..]) {
+            continue; // no-op rewrite
+        }
+        match delta_selected(adt, key, &delta.coords) {
+            Some(true) => {}
+            Some(false) => continue, // outside the entry's slice
+            None => return Ok(None),
+        }
+        for (i, (d, map)) in remaps.iter().enumerate() {
+            match map.get(delta.coords[*d] as usize) {
+                Some(&r) => ranks[i] = r,
+                None => return Ok(None),
+            }
+        }
+        let target = clone.get_or_insert_with(|| (**cube).clone());
+        let cell = target.linear(&ranks);
+        cell_deltas.clear();
+        for m in 0..n_measures {
+            cell_deltas.push((delta.old.as_ref().map(|o| o[m]), delta.new[m]));
+        }
+        if !target.patch_cell(cell, &cell_deltas) {
+            return Ok(None);
+        }
+    }
+    Ok(Some(match clone {
+        Some(patched) => (Arc::new(patched), true),
+        None => (cube.clone(), false),
+    }))
 }
 
 /// Does the cell at `coords` satisfy every selection of `key`? `None`
@@ -808,41 +716,42 @@ fn delta_selected(adt: &OlapArray, key: &CacheKey, coords: &[u32]) -> Option<boo
 
 /// The cached consolidation driver used by [`crate::consolidate_auto`]:
 /// answer from an exact cached cube, else derive from a subsuming finer
-/// cube, else run `compute` and populate the cache. Every path
-/// finalizes through the same [`ResultCube::into_result`] machinery,
-/// so cached and computed answers are bit-identical.
+/// cube, else run `compute` under `snap` and populate the cache. Every
+/// path finalizes through the same [`ResultCube::into_result`]
+/// machinery, so cached and computed answers are bit-identical.
 pub(crate) fn consolidate_cached<F>(
     adt: &OlapArray,
     query: &Query,
+    snap: Option<ChunkSnapshot>,
     compute: F,
 ) -> Result<ConsolidationResult>
 where
-    F: FnOnce() -> Result<ResultCube>,
+    F: FnOnce(Option<ChunkSnapshot>) -> Result<ResultCube>,
 {
     let Some(cache) = shared_result_cache(adt.pool()) else {
-        return compute()?.into_result(&query.aggs);
+        return compute(snap)?.into_result(&query.aggs);
     };
     let stats = adt.pool().stats();
-    let epoch = adt.pool().epoch();
+    // One stamp for the lookup, any derivation and the compute, all
+    // captured before any of them: a cube stamped here reflects exactly
+    // the snapshot's generation, whatever commits land meanwhile.
+    let stamp = Stamp {
+        epoch: adt.pool().epoch(),
+        write_gen: cache.write_gen(),
+        gen: snap.as_ref().map_or(0, ChunkSnapshot::generation),
+    };
     let key = CacheKey::of(adt, query);
 
-    if let Some(cube) = cache.get_tracked(&key, epoch, stats) {
+    if let Some(cube) = cache.get(&key, stamp, Some(stats)) {
         stats.result_cache_hits.inc();
         return cube.to_result(&query.aggs);
     }
-
-    // Capture both write generations *before* deriving or computing:
-    // if a write commits mid-computation it advances one of them, so
-    // the cube goes in already-cold and can never serve a lookup with
-    // possibly torn mid-batch data.
-    let write_gen = cache.write_gen();
-    let array_gen = cache.array_gen(key.array_id);
 
     // Rollup subsumption: a finer cached cube for the same array and
     // selections answers a coarser grouping by re-aggregation. The
     // derived cube is inserted under its own key so the family's next
     // repeat is an exact hit.
-    for (have_key, have_cube) in cache.candidates(key.array_id, epoch) {
+    for (have_key, have_cube) in cache.entries_where(key.array_id, |s| *s == stamp) {
         if *have_key == key {
             continue; // exact entry raced in after our lookup
         }
@@ -851,14 +760,14 @@ where
         };
         let derived = Arc::new(have_cube.rollup(&plan)?);
         stats.result_cache_derived.inc();
-        let evicted = cache.insert_at(key, derived.clone(), epoch, write_gen, array_gen);
+        let evicted = cache.insert(key, derived.clone(), stamp);
         stats.result_cache_evictions.add(evicted);
         return derived.to_result(&query.aggs);
     }
 
     stats.result_cache_misses.inc();
-    let cube = Arc::new(compute()?);
-    let evicted = cache.insert_at(key, cube.clone(), epoch, write_gen, array_gen);
+    let cube = Arc::new(compute(snap)?);
+    let evicted = cache.insert(key, cube.clone(), stamp);
     stats.result_cache_evictions.add(evicted);
     cube.to_result(&query.aggs)
 }
@@ -994,7 +903,19 @@ mod tests {
     }
 
     fn cube_for(adt: &OlapArray, q: &Query) -> ResultCube {
-        crate::parallel::consolidate_cube_auto(adt, q).unwrap().1
+        crate::parallel::consolidate_cube_auto(adt, q, None)
+            .unwrap()
+            .1
+    }
+
+    /// The stamp of a reader at `epoch` and snapshot generation `gen`,
+    /// under the cache's current write generation.
+    fn at(cache: &ResultCache, epoch: u64, gen: u64) -> Stamp {
+        Stamp {
+            epoch,
+            write_gen: cache.write_gen(),
+            gen,
+        }
     }
 
     #[test]
@@ -1003,17 +924,17 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
         let key = CacheKey::of(&adt, &q);
-        assert!(cache.get(&key, 0).is_none());
+        assert!(cache.get(&key, at(&cache, 0, 0), None).is_none());
         let cube = Arc::new(cube_for(&adt, &q));
-        cache.insert(key.clone(), cube.clone(), 0);
-        let hit = cache.get(&key, 0).unwrap();
+        cache.insert(key.clone(), cube.clone(), at(&cache, 0, 0));
+        let hit = cache.get(&key, at(&cache, 0, 0), None).unwrap();
         assert_eq!(
             hit.to_result(&q.aggs).unwrap(),
             adt.consolidate(&q).unwrap()
         );
         // A different grouping is a different key.
         let other = CacheKey::of(&adt, &Query::new(vec![DimGrouping::Key, DimGrouping::Drop]));
-        assert!(cache.get(&other, 0).is_none());
+        assert!(cache.get(&other, at(&cache, 0, 0), None).is_none());
     }
 
     #[test]
@@ -1022,12 +943,21 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let q = Query::new(vec![DimGrouping::Level(1), DimGrouping::Drop]);
         let key = CacheKey::of(&adt, &q);
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 3);
-        assert!(cache.get(&key, 4).is_none(), "cleared pool = cold");
-        assert!(cache.get(&key, 3).is_none(), "stale entry dropped eagerly");
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 3);
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 3, 0));
+        assert!(
+            cache.get(&key, at(&cache, 4, 0), None).is_none(),
+            "cleared pool = cold"
+        );
+        assert!(
+            cache.get(&key, at(&cache, 3, 0), None).is_none(),
+            "stale entry dropped eagerly"
+        );
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 3, 0));
         cache.bump_write_gen();
-        assert!(cache.get(&key, 3).is_none(), "write invalidates");
+        assert!(
+            cache.get(&key, at(&cache, 3, 0), None).is_none(),
+            "write invalidates"
+        );
         assert_eq!(cache.bytes(), 0);
     }
 
@@ -1126,14 +1056,14 @@ mod tests {
                 group_by: q.group_by.clone(),
                 selections: q.selections.clone(),
             };
-            evicted += cache.insert(key, cube.clone(), 0);
+            evicted += cache.insert(key, cube.clone(), at(&cache, 0, 0));
         }
         assert!(evicted > 0, "200 inserts must evict");
         assert!(cache.bytes() <= bytes * 3 * CACHE_SHARDS);
         assert!(!cache.is_empty());
         // Zero capacity disables caching.
         let disabled = ResultCache::new(0);
-        disabled.insert(CacheKey::of(&adt, &q), cube, 0);
+        disabled.insert(CacheKey::of(&adt, &q), cube, at(&disabled, 0, 0));
         assert!(disabled.is_empty());
     }
 
@@ -1143,13 +1073,13 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
         let key = CacheKey::of(&adt, &q);
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
         let stats = IoStats::new();
         // Hold the shard's own mutex across the gets: a hit that ever
         // touched `results` would deadlock here.
         let _m = cache.shard(&key).results.lock();
         for _ in 0..5 {
-            assert!(cache.get_tracked(&key, 0, &stats).is_some());
+            assert!(cache.get(&key, at(&cache, 0, 0), Some(&stats)).is_some());
         }
         let snap = stats.snapshot();
         assert_eq!(snap.opt_result_reads, 5);
@@ -1162,23 +1092,24 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
         let key = CacheKey::of(&adt, &q);
-        let stats = IoStats::new();
+        let io = IoStats::new();
+        let stats = Some(&io);
         // Global write generation.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
-        assert!(cache.get_tracked(&key, 0, &stats).is_some());
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
+        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_some());
         cache.bump_write_gen();
-        assert!(cache.get_tracked(&key, 0, &stats).is_none());
-        // Per-array generation.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 0);
-        assert!(cache.get_tracked(&key, 0, &stats).is_some());
-        cache.bump_array_gen(key.array_id);
-        assert!(cache.get_tracked(&key, 0, &stats).is_none());
+        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_none());
+        // Snapshot generation: a reader at a later generation misses
+        // and drops the older entry.
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
+        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_some());
+        assert!(cache.get(&key, at(&cache, 0, 1), stats).is_none());
         // Pool clear epoch.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), 7);
-        assert!(cache.get_tracked(&key, 7, &stats).is_some());
-        assert!(cache.get_tracked(&key, 8, &stats).is_none());
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 7, 0));
+        assert!(cache.get(&key, at(&cache, 7, 0), stats).is_some());
+        assert!(cache.get(&key, at(&cache, 8, 0), stats).is_none());
         assert_eq!(cache.bytes(), 0, "stale entries dropped eagerly");
-        assert_eq!(stats.snapshot().opt_result_reads, 6);
+        assert_eq!(io.snapshot().opt_result_reads, 6);
     }
 
     #[test]
@@ -1202,6 +1133,8 @@ mod tests {
         let entries = Arc::new(entries);
         let stats = Arc::new(IoStats::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+        // The snapshot generation readers look up at and inserts stamp.
+        let gen = Arc::new(AtomicU64::new(0));
 
         let readers: Vec<_> = (0..3)
             .map(|t| {
@@ -1209,12 +1142,14 @@ mod tests {
                 let entries = entries.clone();
                 let stats = stats.clone();
                 let stop = stop.clone();
+                let gen = gen.clone();
                 std::thread::spawn(move || {
                     let mut hits = 0u64;
                     let mut i = t;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let (key, cube) = &entries[i % entries.len()];
-                        if let Some(got) = cache.get_tracked(key, 0, &stats) {
+                        let stamp = at(&cache, 0, gen.load(Ordering::Acquire));
+                        if let Some(got) = cache.get(key, stamp, Some(&stats)) {
                             assert!(
                                 Arc::ptr_eq(&got, cube),
                                 "hit returned a cube never inserted for this key"
@@ -1230,14 +1165,13 @@ mod tests {
 
         for round in 0..200usize {
             for (key, cube) in entries.iter() {
-                cache.insert(key.clone(), cube.clone(), 0);
+                let stamp = at(&cache, 0, gen.load(Ordering::Acquire));
+                cache.insert(key.clone(), cube.clone(), stamp);
             }
             match round % 3 {
-                0 => {
-                    cache.bump_write_gen();
-                }
+                0 => cache.bump_write_gen(),
                 1 => {
-                    cache.bump_array_gen(entries[round % entries.len()].0.array_id);
+                    gen.fetch_add(1, Ordering::AcqRel);
                 }
                 _ => {}
             }
@@ -1249,6 +1183,32 @@ mod tests {
         let hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
         let snap = stats.snapshot();
         assert!(snap.opt_result_reads >= hits, "every hit was tracked");
+    }
+
+    #[test]
+    fn an_older_generation_never_replaces_a_newer_one() {
+        let adt = build();
+        let cache = ResultCache::new(1 << 20);
+        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
+        let key = CacheKey::of(&adt, &q);
+        let newer = Arc::new(cube_for(&adt, &q));
+        cache.insert(key.clone(), newer.clone(), at(&cache, 0, 5));
+        // A slow reader that computed at generation 4 inserts late.
+        let older = Arc::new(cube_for(&adt, &q));
+        assert_eq!(cache.insert(key.clone(), older, at(&cache, 0, 4)), 0);
+        let hit = cache.get(&key, at(&cache, 0, 5), None).expect("kept");
+        assert!(Arc::ptr_eq(&hit, &newer));
+        // Its lookup misses without dropping the newer entry.
+        assert!(cache.get(&key, at(&cache, 0, 4), None).is_none());
+        assert!(cache.get(&key, at(&cache, 0, 5), None).is_some());
+        // The same generation replaces; a later one replaces too.
+        let same = Arc::new(cube_for(&adt, &q));
+        cache.insert(key.clone(), same.clone(), at(&cache, 0, 5));
+        let hit = cache.get(&key, at(&cache, 0, 5), None).expect("replaced");
+        assert!(Arc::ptr_eq(&hit, &same));
+        cache.insert(key.clone(), newer, at(&cache, 0, 6));
+        assert!(cache.get(&key, at(&cache, 0, 6), None).is_some());
+        assert_eq!(cache.len(), 1);
     }
 
     #[test]

@@ -32,12 +32,17 @@
 //!    the version table's commit generation advances, so new snapshots
 //!    read the batch and old snapshots keep their pinned pre-images.
 //!    No reader can ever observe a state a crash would roll back;
-//! 5. **maintain** — each cell delta is routed through the same
-//!    IndexToIndex remaps the consolidation kernels use and patched
-//!    into every affected cached [`crate::ResultCube`]
-//!    ([`crate::rescache::PatchSession`]), costing O(affected cells ×
-//!    cached cubes) instead of a cache flush. MIN/MAX shrinking
-//!    updates drop just their cube (recomputed lazily).
+//! 5. **maintain** ([`crate::rescache::maintain`]) — one pass over the
+//!    result cache, still inside the commit section, carries the cached
+//!    cubes from the published generation `g` to `g + 1`. Each cell
+//!    delta is routed through the same IndexToIndex remaps the
+//!    consolidation kernels use and patched into this array's cached
+//!    [`crate::ResultCube`]s stamped `g`, costing O(affected cells ×
+//!    cached cubes) instead of a cache flush; other arrays' entries
+//!    are re-stamped unchanged. MIN/MAX shrinking updates drop just
+//!    their cube (recomputed at its next lookup). Until the pass has
+//!    run, readers at `g + 1` miss and compute; readers still at `g`
+//!    keep hitting `g`'s entries.
 //!
 //! [`CubeMaintenance::InvalidateAll`] preserves the old flush-the-world
 //! behavior for comparison benchmarks and tests.
@@ -175,7 +180,6 @@ struct AppliedChunk {
 /// [`PendingCells::publish`] / [`PendingCells::rollback`] must follow —
 /// publish after the batch is durable, rollback when durability failed.
 pub(crate) struct PendingCells {
-    session: Option<rescache::PatchSession>,
     maintenance: CubeMaintenance,
     deltas: Vec<CellDelta>,
     applied: Vec<AppliedChunk>,
@@ -185,14 +189,13 @@ impl PendingCells {
     /// Makes the staged batch visible — version-table publish first,
     /// then result-cube maintenance — and returns the receipt.
     pub(crate) fn publish(self, adt: &mut OlapArray) -> Result<WriteReceipt> {
-        adt.array_mut().publish_writes();
-        let (cubes_patched, cubes_dropped) = match (self.session, self.maintenance) {
-            (Some(session), _) => session.commit(adt, &self.deltas)?,
-            (None, CubeMaintenance::InvalidateAll) => {
+        let published = adt.array_mut().publish_writes();
+        let (cubes_patched, cubes_dropped) = match (published, self.maintenance) {
+            (Some(gen), CubeMaintenance::Delta) => rescache::maintain(adt, gen, &self.deltas)?,
+            _ => {
                 rescache::invalidate_writes(adt.pool());
                 (0, 0)
             }
-            (None, CubeMaintenance::Delta) => (0, 0), // no cache on this pool
         };
         let stats = adt.pool().stats();
         stats.write_batches.inc();
@@ -224,8 +227,6 @@ impl PendingCells {
         } else {
             adt.array().poison_writes();
         }
-        // The abandoned PatchSession drops here: the cache entries it
-        // snapshotted still describe the (restored) array state.
     }
 }
 
@@ -239,9 +240,6 @@ pub(crate) fn stage_cells(
     rows: &[(Vec<i64>, Vec<i64>)],
     maintenance: CubeMaintenance,
 ) -> Result<PendingCells> {
-    // Captured before any mutation: the OnceLock freezes the pre-write
-    // fingerprint, which is what readers key cache entries by.
-    let array_id = adt.identity_hash();
     let n_measures = adt.n_measures();
 
     // Validate everything up front; a bad row rejects the whole batch
@@ -269,15 +267,7 @@ pub(crate) fn stage_cells(
             .insert(offset, (coords, values.clone()));
     }
 
-    // Snapshot the patch candidates before the first overwritten byte
-    // (see `rescache::PatchSession` for why the order matters).
-    let session = match maintenance {
-        CubeMaintenance::Delta => rescache::begin_write_patch(adt.pool(), array_id),
-        CubeMaintenance::InvalidateAll => None,
-    };
-
     let mut pending = PendingCells {
-        session,
         maintenance,
         deltas: Vec::new(),
         applied: Vec::new(),
@@ -367,7 +357,10 @@ mod tests {
     use std::sync::Arc;
 
     fn build() -> OlapArray {
-        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 512));
+        build_on(Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 512)))
+    }
+
+    fn build_on(pool: Arc<BufferPool>) -> OlapArray {
         let dims = vec![
             DimensionTable::build(
                 "store",
@@ -569,6 +562,89 @@ mod tests {
         );
         // Reads still work, shielded by whatever pins remain.
         assert_eq!(adt.get_by_keys(&[0, 0]).unwrap(), Some(vec![0]));
+    }
+
+    #[test]
+    fn committed_cubes_stay_hot_over_the_wire_path() {
+        // `Database::sql` reopens the array per statement; the patched
+        // cube must be found again after the commit that changed the
+        // array's metadata (an insert into a hole bumps its cell count).
+        let path = std::env::temp_dir().join(format!("molap-write-{}-hot.db", std::process::id()));
+        let db = crate::Database::create(&path, 4 << 20).unwrap();
+        let dims = vec![
+            DimensionTable::build("store", &[0, 1, 2, 3], vec![("region", vec![0, 0, 1, 1])])
+                .unwrap(),
+            DimensionTable::build("product", &[0, 1, 2], vec![]).unwrap(),
+        ];
+        let cells = vec![(vec![0i64, 0], vec![10i64]), (vec![3, 1], vec![40])];
+        let adt = OlapArray::build(
+            db.pool().clone(),
+            dims,
+            &[2, 2],
+            ChunkFormat::ChunkOffset,
+            cells,
+            1,
+        )
+        .unwrap();
+        db.save_olap_array("sales", &adt).unwrap();
+        db.checkpoint().unwrap();
+        let q = "SELECT SUM(volume), store.region FROM sales GROUP BY store.region";
+        db.sql(q, &["volume"]).unwrap();
+
+        let mut batch = WriteBatch::new();
+        batch.set(&[2, 2], &[5]);
+        let receipt = db.write_batch("sales", &batch).unwrap();
+        assert_eq!(receipt.cubes_patched, 1);
+        let before = db.pool().stats().snapshot();
+        let got = db.sql(q, &["volume"]).unwrap();
+        let d = db.pool().stats().snapshot().since(&before);
+        assert_eq!((d.result_cache_hits, d.result_cache_misses), (1, 0));
+        let adt = db.open_olap_array("sales").unwrap();
+        let oracle = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
+        assert_eq!(got, adt.consolidate(&oracle).unwrap());
+        assert!(db.pool().stats().snapshot().result_cache_patched >= 1);
+        drop((adt, db));
+        std::fs::remove_file(&path).unwrap();
+        let _ = std::fs::remove_file(path.with_extension("db.wal"));
+    }
+
+    #[test]
+    fn a_commit_to_one_array_keeps_another_warm() {
+        let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 1024));
+        let mut a = build_on(pool.clone());
+        let b = build_on(pool.clone());
+        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
+        crate::consolidate_auto(&a, &q).unwrap();
+        let expect_b = crate::consolidate_auto(&b, &q).unwrap();
+        let mut batch = WriteBatch::new();
+        batch.set(&[1, 1], &[1_000]);
+        apply_batch(&mut a, &batch).unwrap();
+        let before = pool.stats().snapshot();
+        assert_eq!(crate::consolidate_auto(&b, &q).unwrap(), expect_b);
+        assert_eq!(
+            crate::consolidate_auto(&a, &q).unwrap(),
+            a.consolidate(&q).unwrap()
+        );
+        let d = pool.stats().snapshot().since(&before);
+        assert_eq!((d.result_cache_hits, d.result_cache_misses), (2, 0));
+    }
+
+    #[test]
+    fn cooled_entries_are_not_carried_across_a_commit() {
+        let mut adt = build();
+        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
+        crate::consolidate_auto(&adt, &q).unwrap();
+        crate::shared_result_cache(adt.pool())
+            .unwrap()
+            .bump_write_gen();
+        let mut batch = WriteBatch::new();
+        batch.set(&[2, 1], &[100_000]);
+        let receipt = apply_batch(&mut adt, &batch).unwrap();
+        assert_eq!((receipt.cubes_patched, receipt.cubes_dropped), (0, 0));
+        assert_eq!(
+            crate::consolidate_auto(&adt, &q).unwrap(),
+            adt.consolidate(&q).unwrap()
+        );
     }
 
     #[test]

@@ -140,7 +140,7 @@ fn mixed_concurrent_consolidations_match_sequential() {
 /// scan across a commit — mixing chunk 0 of one state with the last
 /// chunk of another — produces a total outside the per-boundary set.
 /// Under `--features lock-order-tracking` this also certifies the
-/// whole write path (commit → catalog → generations → results →
+/// whole write path (commit → catalog → results →
 /// versions → LOB → pool) against the declared lock order while
 /// readers hold pool and cache locks concurrently.
 ///

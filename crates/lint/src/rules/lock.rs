@@ -23,8 +23,9 @@
 //!   live `begin_optimistic` guard or an `optimistic_read` closure) is
 //!   open. The span's reads are provisional until validation, so I/O
 //!   inside it either acts on bytes that may be torn or repeats on
-//!   every restart of the retry loop; do the I/O first and re-check
-//!   the version with `still_valid`, the way the B-tree probe does.
+//!   every restart of the retry loop; do the I/O first, then read
+//!   under the span and re-check the version with
+//!   `OptimisticGuard::validate`.
 //!   `.lock_exclusive()` on a version word needs no extra rule: it is
 //!   an ordinary ranked acquisition (`Effect::AcquireOpt`) and the
 //!   three rules above all apply to it.
@@ -49,8 +50,7 @@ use crate::Finding;
 /// table, then admission queue), `commit` (array: the version table's
 /// one-write-batch-at-a-time commit section, taken via
 /// `VersionTable::commit_section` by the core write paths),
-/// `catalog` (core), `generations` (result cache: per-array
-/// write generations), `results` (result-cube cache shard), `chunks`
+/// `catalog` (core), `results` (result-cube cache shard), `chunks`
 /// (decoded-chunk cache shard), `versions` (chunk version table:
 /// pinned pre-images for snapshot reads), `dir`/`pack` (LOB store),
 /// `state`/`data` (buffer pool: shard state, then per-frame latch),
@@ -74,7 +74,6 @@ pub const DECLARED_ORDER: &[&str] = &[
     "supervisor",
     "commit",
     "catalog",
-    "generations",
     "results",
     "results_v",
     "result_slot",
@@ -214,7 +213,8 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
                                         message: format!(
                                             "I/O (`{}`) reached via {} inside the optimistic \
                                              read span on `{}` (line {}); do the I/O with no \
-                                             span open and re-check with `still_valid`",
+                                             span open and re-check with \
+                                             `OptimisticGuard::validate`",
                                             trim_marker(marker),
                                             model.chain(j, effect),
                                             g.lock,
@@ -298,7 +298,7 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
                     rule: "olc-io".into(),
                     message: format!(
                         "I/O call `{}` inside the optimistic read span on {}; do the I/O \
-                         with no span open and re-check with `still_valid`",
+                         with no span open and re-check with `OptimisticGuard::validate`",
                         trim_marker(marker),
                         holder
                     ),

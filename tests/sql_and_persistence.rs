@@ -2,12 +2,14 @@
 //! must match programmatic queries across process "restarts" (reopen),
 //! for both physical designs.
 
+use std::collections::HashSet;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 use molap::array::ChunkFormat;
 use molap::core::{
     compute_cube, consolidate_pipelined, parse_query, starjoin_consolidate, AttrRef, Database,
-    DimGrouping, OlapArray, PrefetchPlan, Query, Selection, StarSchema,
+    DimGrouping, OlapArray, PrefetchPlan, Query, Selection, StarSchema, WriteBatch,
 };
 use molap::datagen::{generate, AttrLayout, CubeSpec};
 use molap::storage::{BufferPool, MemDisk};
@@ -236,4 +238,80 @@ fn advanced_operators_agree_with_consolidate() {
     );
     // Coarsest slice total equals the cube's total volume.
     assert_eq!(slices.last().unwrap().result.total(), cube.total_volume());
+}
+
+/// Two readers loop `Database::sql` while a writer commits twenty
+/// single-cell inserting batches. A reader that opens the array between
+/// a commit's catalog save and its publish reads the pre-batch state;
+/// the cube it caches must never answer a statement sent after the
+/// publish. After every commit, and at the end, `Database::sql` must
+/// equal the reference consolidation of a freshly opened array.
+#[test]
+fn sql_never_serves_a_cube_from_before_a_commit() {
+    let path = temp_path("race");
+    let cube = generate(&spec()).unwrap();
+    let q = "SELECT SUM(volume), dim0.h01 FROM sales GROUP BY dim0.h01";
+    let db = Database::create(&path, 4 << 20).unwrap();
+    let adt = OlapArray::build(
+        db.pool().clone(),
+        cube.dims.clone(),
+        &[8, 6, 5],
+        ChunkFormat::ChunkOffset,
+        cube.cells.iter().cloned(),
+        1,
+    )
+    .unwrap();
+    db.save_olap_array("sales", &adt).unwrap();
+    db.checkpoint().unwrap();
+    drop(adt);
+
+    // Twenty empty cells, each filled by one batch.
+    let taken: HashSet<&Vec<i64>> = cube.cells.iter().map(|(k, _)| k).collect();
+    let keys = |d: usize| cube.dims[d].keys().to_vec();
+    let holes: Vec<Vec<i64>> = keys(0)
+        .into_iter()
+        .flat_map(|a| keys(1).into_iter().map(move |b| (a, b)))
+        .flat_map(|(a, b)| keys(2).into_iter().map(move |c| vec![a, b, c]))
+        .filter(|k| !taken.contains(k))
+        .take(20)
+        .collect();
+    assert_eq!(holes.len(), 20);
+
+    let oracle = |db: &Database| {
+        let adt = db.open_olap_array("sales").unwrap();
+        let stmt = parse_query(q, adt.dims(), &["volume"]).unwrap();
+        adt.consolidate(&stmt.query).unwrap()
+    };
+    let done = AtomicBool::new(false);
+    let mut wrong = Vec::new();
+    std::thread::scope(|s| {
+        for _ in 0..2 {
+            s.spawn(|| {
+                while !done.load(Ordering::Relaxed) {
+                    db.sql(q, &["volume"]).unwrap();
+                }
+            });
+        }
+        for (i, keys) in holes.iter().enumerate() {
+            let mut batch = WriteBatch::new();
+            batch.set(keys, &[1_000 + i as i64]);
+            db.write_batch("sales", &batch).unwrap();
+            if db.sql(q, &["volume"]).unwrap() != oracle(&db) {
+                wrong.push(i);
+            }
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    assert_eq!(
+        wrong,
+        Vec::<usize>::new(),
+        "commits followed by a stale answer"
+    );
+    assert_eq!(db.sql(q, &["volume"]).unwrap(), oracle(&db));
+
+    drop(db);
+    std::fs::remove_file(&path).unwrap();
+    let mut wal = path.into_os_string();
+    wal.push(".wal");
+    let _ = std::fs::remove_file(wal);
 }
