@@ -52,8 +52,8 @@ pub(crate) struct DimIndexes {
 /// commit made through *another* handle, one that relocated a chunk,
 /// must reopen it. Otherwise its own answers read the old locations,
 /// and so do the cubes it puts in the pool's shared result cache, where
-/// other handles find them. `Database::sql` and the server open a fresh
-/// handle per statement.
+/// other handles find them. `Database::prepare`, behind `Database::sql`
+/// and the server alike, opens a fresh handle per statement.
 pub struct OlapArray {
     pool: Arc<BufferPool>,
     array: ChunkedArray,

@@ -211,14 +211,22 @@ impl Database {
         cat.dirty = true;
     }
 
+    /// The kind and metadata cataloged under `name`, in one lookup.
+    fn lookup(&self, name: &str) -> Result<(ObjectKind, Vec<u8>)> {
+        self.catalog
+            .lock()
+            .objects
+            .get(name)
+            .cloned()
+            .ok_or_else(|| Error::Query(format!("no object named {name:?}")))
+    }
+
     fn get(&self, name: &str, kind: ObjectKind) -> Result<Vec<u8>> {
-        let cat = self.catalog.lock();
-        match cat.objects.get(name) {
-            Some((k, meta)) if *k == kind => Ok(meta.clone()),
-            Some((k, _)) => Err(Error::Query(format!(
+        match self.lookup(name)? {
+            (k, meta) if k == kind => Ok(meta),
+            (k, _) => Err(Error::Query(format!(
                 "object {name:?} is a {k:?}, not a {kind:?}"
             ))),
-            None => Err(Error::Query(format!("no object named {name:?}"))),
         }
     }
 
@@ -367,87 +375,100 @@ impl Database {
         pending.publish(&mut adt)
     }
 
-    /// Runs a SQL consolidation statement against a cataloged object.
+    /// Runs a SQL consolidation statement against a cataloged object:
+    /// [`Database::prepare`], then [`Prepared::execute`].
     ///
     /// The `FROM` name picks the object *and the engine*: an
     /// [`OlapArray`] runs the array algorithms, a [`StarSchema`] runs
     /// the StarJoin — the storage transparency the paper's future work
     /// asks for. `measures` names the cube's measure columns in order
     /// (e.g. `&["volume"]`).
-    ///
-    /// An array statement takes its chunk snapshot *before* it opens
-    /// the array. A commit saves the catalog before it publishes, so the
-    /// handle's metadata is never older than the snapshot, and chunks a
-    /// commit in flight has rewritten resolve to their pinned
-    /// pre-images.
     pub fn sql(&self, statement: &str, measures: &[&str]) -> Result<crate::ConsolidationResult> {
-        let name = crate::sql::extract_from(statement)?;
-        let kind = {
-            let cat = self.catalog.lock();
-            cat.objects
-                .get(&name)
-                .map(|(k, _)| *k)
-                .ok_or_else(|| Error::Query(format!("no object named {name:?}")))?
-        };
-        match kind {
-            ObjectKind::OlapArray => {
-                let snap = crate::parallel::snapshot(&self.pool);
-                let adt = self.open_olap_array(&name)?;
-                let stmt = crate::sql::parse_query(statement, adt.dims(), measures)?;
-                crate::parallel::consolidate_at(&adt, &stmt.query, snap)
-            }
-            ObjectKind::StarSchema => {
-                let schema = self.open_star_schema(&name)?;
-                let stmt = crate::sql::parse_query(statement, &schema.dims, measures)?;
-                crate::starjoin::starjoin_consolidate(&schema, &stmt.query)
-            }
-            ObjectKind::BitmapIndexes => Err(Error::Query(format!(
-                "{name:?} is a bitmap index set; query its star schema instead"
-            ))),
-        }
+        self.prepare(statement, measures)?.execute()
     }
 
-    /// Canonical fingerprint of a SQL consolidation statement: two
-    /// statements share a fingerprint only if they run the same
-    /// canonical [`Query`] (selections sorted/deduped) against the
-    /// same object with the same measure mapping — i.e. they must
-    /// produce identical results. Returns `None` for statements that
-    /// do not parse or resolve; those are never treated as equal.
+    /// Resolves a SQL consolidation statement once: its object, a chunk
+    /// snapshot, an open handle, the parsed query (the parser sorts and
+    /// dedupes `Pred::In` lists) and its fingerprint. The statement
+    /// reads as of this call, however late [`Prepared::execute`] runs.
     ///
-    /// `molap-server` uses this to coalesce identical concurrent
-    /// queries onto one execution.
-    pub fn query_fingerprint(&self, statement: &str, measures: &[&str]) -> Option<u64> {
+    /// The snapshot is taken *before* the catalog lookup. A commit saves
+    /// the catalog before it publishes, so the handle's metadata is
+    /// never older than the snapshot, and chunks a commit in flight has
+    /// rewritten resolve to their pinned pre-images.
+    pub fn prepare(&self, statement: &str, measures: &[&str]) -> Result<Prepared> {
         use std::hash::{Hash, Hasher};
-        let name = crate::sql::extract_from(statement).ok()?;
-        let kind = {
-            let cat = self.catalog.lock();
-            cat.objects.get(&name).map(|(k, _)| *k)?
+        let name = crate::sql::extract_from(statement)?;
+        let snap = crate::parallel::snapshot(&self.pool);
+        let target = match self.lookup(&name)? {
+            (ObjectKind::OlapArray, meta) => Target::Array(Box::new(OlapArray::from_meta_bytes(
+                self.pool.clone(),
+                &meta,
+            )?)),
+            (ObjectKind::StarSchema, meta) => {
+                Target::Star(StarSchema::from_meta_bytes(self.pool.clone(), &meta)?)
+            }
+            (ObjectKind::BitmapIndexes, _) => {
+                return Err(Error::Query(format!(
+                    "{name:?} is a bitmap index set; query its star schema instead"
+                )))
+            }
         };
-        let mut query = match kind {
-            ObjectKind::OlapArray => {
-                let adt = self.open_olap_array(&name).ok()?;
-                crate::sql::parse_query(statement, adt.dims(), measures)
-                    .ok()?
-                    .query
-            }
-            ObjectKind::StarSchema => {
-                let schema = self.open_star_schema(&name).ok()?;
-                crate::sql::parse_query(statement, &schema.dims, measures)
-                    .ok()?
-                    .query
-            }
-            ObjectKind::BitmapIndexes => return None,
+        let dims = match &target {
+            Target::Array(adt) => adt.dims(),
+            Target::Star(schema) => &schema.dims,
         };
-        for sels in &mut query.selections {
-            for sel in sels.iter_mut() {
-                sel.pred.canonicalize();
-            }
-        }
+        let query = crate::sql::parse_query(statement, dims, measures)?.query;
         let mut h = crate::util::FxHasher::default();
         name.hash(&mut h);
         query.hash(&mut h);
         measures.hash(&mut h);
-        Some(h.finish())
+        Ok(Prepared {
+            target,
+            query,
+            snap,
+            fingerprint: h.finish(),
+        })
+    }
+}
+
+enum Target {
+    Array(Box<OlapArray>),
+    Star(StarSchema),
+}
+
+/// A statement [`Database::prepare`] resolved: an open handle, its
+/// canonical query and the chunk snapshot it reads under.
+pub struct Prepared {
+    target: Target,
+    query: crate::Query,
+    snap: Option<molap_array::ChunkSnapshot>,
+    fingerprint: u64,
+}
+
+impl Prepared {
+    /// Two statements share a fingerprint only if they run the same
+    /// canonical query against the same object with the same measure
+    /// mapping; at one [`Prepared::generation`] they answer alike.
+    pub fn fingerprint(&self) -> u64 {
+        self.fingerprint
+    }
+
+    /// The commit generation the statement reads at (0 without a
+    /// version table).
+    pub fn generation(&self) -> u64 {
+        self.snap
+            .as_ref()
+            .map_or(0, molap_array::ChunkSnapshot::generation)
+    }
+
+    /// Runs the statement: the array engine under the held snapshot, or
+    /// the StarJoin.
+    pub fn execute(self) -> Result<crate::ConsolidationResult> {
+        match self.target {
+            Target::Array(adt) => crate::parallel::consolidate_at(&adt, &self.query, self.snap),
+            Target::Star(schema) => crate::starjoin::starjoin_consolidate(&schema, &self.query),
+        }
     }
 }
 
@@ -680,6 +701,137 @@ mod tests {
             .sql("SELECT SUM(volume) FROM nothing", &["volume"])
             .is_err());
         assert!(db.sql("nonsense", &["volume"]).is_err());
+        std::fs::remove_file(&path)?;
+        let _ = std::fs::remove_file(wal_path(&path));
+        Ok(())
+    }
+
+    /// A database cataloging the test cube as `sales` (array),
+    /// `sales_rel` (star schema) and `sales_bm` (bitmap indexes).
+    fn every_kind(path: &Path) -> Result<Database> {
+        let db = Database::create(path, 1 << 20)?;
+        let adt = OlapArray::build(
+            db.pool().clone(),
+            dims()?,
+            &[2, 2],
+            ChunkFormat::ChunkOffset,
+            cells(),
+            1,
+        )?;
+        let schema = StarSchema::build(db.pool().clone(), dims()?, cells(), 1)?;
+        let indexes = JoinBitmapIndexes::build(db.pool().clone(), &schema)?;
+        db.save_olap_array("sales", &adt)?;
+        db.save_star_schema("sales_rel", &schema)?;
+        db.save_bitmap_indexes("sales_bm", &indexes)?;
+        db.checkpoint()?;
+        Ok(db)
+    }
+
+    #[test]
+    fn fingerprints_name_the_object_query_and_measures() -> TestResult {
+        let path = temp_path("fingerprint");
+        let db = every_kind(&path)?;
+        let fp = |sql: &str, measures: &[&str]| -> Result<u64> {
+            Ok(db.prepare(sql, measures)?.fingerprint())
+        };
+        let base = "SELECT SUM(volume) FROM sales WHERE product.ptype IN (5, 6)";
+        let v = &["volume"][..];
+        assert_eq!(
+            fp(base, v)?,
+            fp(
+                "SELECT SUM(volume) FROM sales WHERE product.ptype IN (6, 5, 6)",
+                v
+            )?,
+            "two spellings of one IN-list"
+        );
+        assert_eq!(fp(base, v)?, fp(base, v)?);
+        let others = [
+            fp(
+                "SELECT SUM(volume) FROM sales_rel WHERE product.ptype IN (5, 6)",
+                v,
+            )?,
+            fp(
+                "SELECT COUNT(volume) FROM sales WHERE product.ptype IN (5, 6)",
+                v,
+            )?,
+            fp(
+                "SELECT SUM(units) FROM sales WHERE product.ptype IN (5, 6)",
+                &["units"],
+            )?,
+            fp(
+                "SELECT SUM(volume) FROM sales WHERE product.ptype IN (5)",
+                v,
+            )?,
+        ];
+        for (i, other) in others.iter().enumerate() {
+            assert_ne!(fp(base, v)?, *other, "variant {i}");
+        }
+        drop(db);
+        std::fs::remove_file(&path)?;
+        let _ = std::fs::remove_file(wal_path(&path));
+        Ok(())
+    }
+
+    #[test]
+    fn a_prepared_statement_reads_as_of_its_prepare() -> TestResult {
+        let path = temp_path("prepared");
+        let db = every_kind(&path)?;
+        let q = "SELECT SUM(volume), store.region FROM sales GROUP BY store.region";
+        let before = db.sql(q, &["volume"])?;
+        let early = db.prepare(q, &["volume"])?;
+        let mut batch = crate::WriteBatch::new();
+        batch.set(&[0, 0], &[77]);
+        db.write_batch("sales", &batch)?;
+        let late = db.prepare(q, &["volume"])?;
+        assert_eq!(late.generation(), early.generation() + 1);
+        assert_eq!(late.fingerprint(), early.fingerprint());
+        // The commit landed between the prepare and the execute.
+        assert_eq!(early.execute()?, before);
+        let after = late.execute()?;
+        assert_ne!(after, before);
+        assert_eq!(after, db.sql(q, &["volume"])?);
+        drop(db);
+        std::fs::remove_file(&path)?;
+        let _ = std::fs::remove_file(wal_path(&path));
+        Ok(())
+    }
+
+    #[test]
+    fn prepare_then_execute_is_sql() -> TestResult {
+        let path = temp_path("prepare-sql");
+        let db = every_kind(&path)?;
+        for sql in [
+            "SELECT SUM(volume), store.region FROM sales GROUP BY store.region",
+            "SELECT MAX(volume) FROM sales WHERE product.ptype IN (6, 5)",
+            "SELECT SUM(volume), store.region FROM sales_rel GROUP BY store.region",
+            "SELECT AVG(volume) FROM sales_rel WHERE store.region = 'west'",
+        ] {
+            assert_eq!(
+                db.prepare(sql, &["volume"])?.execute()?,
+                db.sql(sql, &["volume"])?,
+                "{sql}"
+            );
+        }
+        // Statements that do not prepare fail as `sql` always has.
+        for (sql, want) in [
+            (
+                "SELECT SUM(volume) FROM sales_bm",
+                "\"sales_bm\" is a bitmap index set; query its star schema instead",
+            ),
+            (
+                "SELECT SUM(volume) FROM nothing",
+                "no object named \"nothing\"",
+            ),
+        ] {
+            match db.prepare(sql, &["volume"]).err() {
+                Some(Error::Query(msg)) => assert_eq!(msg, want, "{sql}"),
+                other => panic!("{sql}: {other:?}"),
+            }
+        }
+        for sql in ["SELECT SUM(bogus) FROM sales", "nonsense"] {
+            assert!(db.prepare(sql, &["volume"]).is_err(), "{sql}");
+        }
+        drop(db);
         std::fs::remove_file(&path)?;
         let _ = std::fs::remove_file(wal_path(&path));
         Ok(())

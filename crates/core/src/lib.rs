@@ -105,7 +105,7 @@ pub use adt::OlapArray;
 // the chunk codec without a direct molap-array dependency.
 pub use aggregate::{AggFunc, AggState, AggValue};
 pub use bitmapjoin::{bitmap_consolidate, JoinBitmapIndexes};
-pub use catalog::{Database, ObjectKind};
+pub use catalog::{Database, ObjectKind, Prepared};
 pub use cube_op::{compute_cube, CubeSlice};
 pub use dimension::DimensionTable;
 pub use error::{Error, Result};

@@ -285,15 +285,16 @@ fn consume_pipeline(
 /// `adt` is read as of its open (see [`OlapArray`]): a handle kept
 /// across a relocating commit made through another handle must be
 /// reopened first, for its own answers and for the shared cache, which
-/// other handles of the array read. `Database::sql` and the server open
-/// a fresh handle per statement.
+/// other handles of the array read. `Database::prepare`, behind
+/// `Database::sql` and the server alike, opens a fresh handle per
+/// statement.
 pub fn consolidate_auto(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
     consolidate_at(adt, query, snapshot(adt.pool()))
 }
 
-/// [`consolidate_auto`] under a snapshot the caller took: `Database::sql`
-/// takes it before it opens the array, so the handle's metadata is
-/// never older than the state the statement reads.
+/// [`consolidate_auto`] under a snapshot the caller took:
+/// `Database::prepare` takes it before it opens the array, so the
+/// handle's metadata is never older than the state the statement reads.
 pub(crate) fn consolidate_at(
     adt: &OlapArray,
     query: &Query,

@@ -4,12 +4,14 @@
 //! # Architecture
 //!
 //! One thread per connected session reads request frames and writes
-//! response frames ([`crate::session`]). Query execution is *not*
-//! done on session threads: sessions submit jobs to a bounded queue
-//! drained by a fixed worker pool, so a flood of connections cannot
-//! oversubscribe the database. When the queue is full, submission
-//! fails immediately and the client receives `SERVER_BUSY` — explicit
-//! backpressure instead of unbounded latency.
+//! response frames ([`crate::session`]). A session prepares each
+//! statement once (`Database::prepare`), so a query reads as of its
+//! admission. Query execution is *not* done on session threads:
+//! sessions submit jobs to a bounded queue drained by a fixed worker
+//! pool, so a flood of connections cannot oversubscribe the database.
+//! When the queue is full, submission fails immediately and the client
+//! receives `SERVER_BUSY` — explicit backpressure instead of unbounded
+//! latency.
 //!
 //! Every query carries a deadline (`now + default_deadline` at
 //! admission). It is checked when a worker dequeues the job (queued
@@ -30,7 +32,7 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use molap_core::Database;
+use molap_core::{Database, Prepared};
 use parking_lot::{Condvar, Mutex};
 
 use crate::metrics::{MetricsSnapshot, ServerMetrics};
@@ -75,16 +77,18 @@ impl Default for ServerConfig {
     }
 }
 
-/// A query job waiting for a worker.
+/// A statement's coalescing key: its fingerprint and the commit
+/// generation it reads at. Equal keys answer alike.
+type InflightKey = (u64, u64);
+
+/// A query job waiting for a worker. It leads its key's entry in the
+/// coalescing table and broadcasts its response to the followers that
+/// attached.
 struct Job {
-    sql: String,
-    measures: Vec<String>,
+    prepared: Prepared,
+    key: InflightKey,
     deadline: Instant,
     reply: mpsc::SyncSender<Response>,
-    /// Canonical query fingerprint, when the statement has one: this
-    /// job leads an entry in the coalescing table and must broadcast
-    /// its response to any followers that attached.
-    fingerprint: Option<u64>,
 }
 
 /// Why a submission was refused at admission.
@@ -100,10 +104,6 @@ struct QueueState {
     draining: bool,
 }
 
-/// An in-flight coalescing entry: the write epoch the leader was
-/// admitted in, plus the reply senders of attached followers.
-type InflightEntry = (u64, Vec<mpsc::SyncSender<Response>>);
-
 /// State shared by the accept loop, sessions, and workers.
 pub(crate) struct Shared {
     pub(crate) db: Database,
@@ -111,19 +111,14 @@ pub(crate) struct Shared {
     config: ServerConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
-    /// Concurrent-query coalescing: canonical fingerprint of every
-    /// admitted-but-unfinished query → the write epoch at admission
-    /// plus reply senders of followers that attached instead of
-    /// submitting a duplicate. The leader removes its entry (and
-    /// broadcasts) when its execution completes. Ordered before
-    /// `queue` in the workspace lock order.
-    inflight: Mutex<HashMap<u64, InflightEntry>>,
-    /// Bumped after every committed (or failed) write batch. Makes
-    /// coalescing write-safe: a follower only attaches to an in-flight
-    /// execution admitted in the *same* epoch, so a query arriving
-    /// after a write ack can never be served a pre-write answer
-    /// computed by a leader that started earlier.
-    write_epoch: AtomicU64,
+    /// Concurrent-query coalescing: the key of every admitted but
+    /// unfinished query → reply senders of followers that attached
+    /// instead of submitting a duplicate. A query sent after a commit
+    /// reads a newer generation, so it never attaches to an older
+    /// leader. The leader removes its entry (and broadcasts) when its
+    /// execution completes. Ordered before `queue` in the workspace
+    /// lock order.
+    inflight: Mutex<HashMap<InflightKey, Vec<mpsc::SyncSender<Response>>>>,
     /// Socket clones of live sessions, so shutdown can unblock their
     /// reads. Keyed by session id.
     sessions: Mutex<HashMap<u64, TcpStream>>,
@@ -133,26 +128,20 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Submits a query for execution, or refuses it immediately. A
-    /// query whose canonical fingerprint matches one already admitted
-    /// and not yet finished does not take a queue slot: it attaches to
-    /// the in-flight execution and receives a copy of its response.
+    /// Submits a prepared query for execution, or refuses it
+    /// immediately. A query whose key matches one already admitted and
+    /// not yet finished does not take a queue slot: it attaches to the
+    /// in-flight execution and receives a copy of its response.
     pub(crate) fn try_submit(
         &self,
-        sql: String,
-        measures: Vec<String>,
+        prepared: Prepared,
     ) -> Result<mpsc::Receiver<Response>, AdmissionError> {
-        // Fingerprinting parses the statement against the catalog and
-        // must happen before any queue/inflight lock is taken (it
-        // briefly takes the catalog lock, which ranks below both).
-        let measure_refs: Vec<&str> = measures.iter().map(String::as_str).collect();
-        let fingerprint = self.db.query_fingerprint(&sql, &measure_refs);
-
+        let key = (prepared.fingerprint(), prepared.generation());
         // Holding `inflight` across admission makes "attach to the
         // leader" and "become the leader" mutually exclusive: a
         // follower can never observe an entry whose job failed
         // admission. `inflight` ranks before `queue`.
-        let mut inflight = fingerprint.map(|fp| (fp, self.inflight.lock()));
+        let mut inflight = self.inflight.lock();
         let mut q = self.queue.lock();
         // The drain contract ("new queries are refused") beats
         // coalescing: even a query that could attach to an in-flight
@@ -160,42 +149,22 @@ impl Shared {
         if q.draining {
             return Err(AdmissionError::ShuttingDown);
         }
-        let epoch = self.write_epoch.load(Ordering::SeqCst);
-        let mut fingerprint = fingerprint;
-        if let Some((fp, table)) = inflight.as_mut() {
-            match table.get_mut(fp) {
-                Some((entry_epoch, waiters)) if *entry_epoch == epoch => {
-                    let (tx, rx) = mpsc::sync_channel(1);
-                    waiters.push(tx);
-                    self.metrics.queries_coalesced.inc();
-                    return Ok(rx);
-                }
-                Some(_) => {
-                    // The in-flight leader was admitted before a write
-                    // committed; its answer may predate the write.
-                    // Run this query independently, uncoalesced (the
-                    // stale leader still owns the table entry).
-                    fingerprint = None;
-                }
-                None => {}
-            }
+        let (tx, rx) = mpsc::sync_channel(1);
+        if let Some(waiters) = inflight.get_mut(&key) {
+            waiters.push(tx);
+            self.metrics.queries_coalesced.inc();
+            return Ok(rx);
         }
         if q.jobs.len() >= self.config.queue_capacity {
             self.metrics.queries_rejected.inc();
             return Err(AdmissionError::Busy);
         }
-        if fingerprint.is_some() {
-            if let Some((fp, table)) = inflight.as_mut() {
-                table.insert(*fp, (epoch, Vec::new()));
-            }
-        }
-        let (tx, rx) = mpsc::sync_channel(1);
+        inflight.insert(key, Vec::new());
         q.jobs.push_back(Job {
-            sql,
-            measures,
+            prepared,
+            key,
             deadline: Instant::now() + self.config.default_deadline,
             reply: tx,
-            fingerprint,
         });
         drop(q);
         drop(inflight);
@@ -242,13 +211,21 @@ impl Shared {
             .report(pool.stats().snapshot(), pool.shard_stats())
     }
 
+    /// Counts a query that failed to prepare or to execute, and answers
+    /// it with its error.
+    pub(crate) fn query_error(&self, err: &molap_core::Error, elapsed: Duration) -> Response {
+        self.metrics.query_failed(elapsed);
+        Response::Error {
+            code: error_code_for(err),
+            message: err.to_string(),
+        }
+    }
+
     /// Executes a Write request on the session thread: the database's
     /// commit lock serializes writers, and the ack is only produced
     /// after `Database::write_batch` has checkpointed the batch to
-    /// durable storage. The write epoch is bumped whether the batch
-    /// succeeded or not — after a failure the array's state is still
-    /// guaranteed un-regressed, but any in-flight coalesced execution
-    /// is conservatively treated as pre-write.
+    /// durable storage and published it, so a query sent after the ack
+    /// reads the batch's generation.
     pub(crate) fn execute_write(&self, object: &str, rows: &[(Vec<i64>, Vec<i64>)]) -> Response {
         if self.is_draining() {
             return Response::Error {
@@ -263,7 +240,6 @@ impl Shared {
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             self.db.write_batch(object, &batch)
         }));
-        self.write_epoch.fetch_add(1, Ordering::SeqCst);
         match outcome {
             Ok(Ok(receipt)) => Response::WriteAck {
                 cells_written: receipt.cells_written,
@@ -305,28 +281,20 @@ impl Shared {
     }
 
     fn run_job(&self, job: Job) {
-        let response = self.execute_job(&job);
+        let response = self.execute_job(job.prepared, job.deadline);
         // Close the coalescing entry *before* delivering: once removed,
         // the next identical submission starts a fresh execution, and
         // every follower captured here gets this response. Attach and
         // removal are both under `inflight`, so no waiter is lost.
-        let followers = match job.fingerprint {
-            Some(fp) => self
-                .inflight
-                .lock()
-                .remove(&fp)
-                .map(|(_, waiters)| waiters)
-                .unwrap_or_default(),
-            None => Vec::new(),
-        };
+        let followers = self.inflight.lock().remove(&job.key).unwrap_or_default();
         for follower in followers {
             let _ = follower.send(response.clone());
         }
         let _ = job.reply.send(response);
     }
 
-    fn execute_job(&self, job: &Job) -> Response {
-        if Instant::now() > job.deadline {
+    fn execute_job(&self, prepared: Prepared, deadline: Instant) -> Response {
+        if Instant::now() > deadline {
             self.metrics.deadline_exceeded.inc();
             return Response::Error {
                 code: ErrorCode::DeadlineExceeded,
@@ -337,14 +305,11 @@ impl Shared {
         if !self.config.debug_execution_delay.is_zero() {
             std::thread::sleep(self.config.debug_execution_delay);
         }
-        let measures: Vec<&str> = job.measures.iter().map(String::as_str).collect();
-        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            self.db.sql(&job.sql, &measures)
-        }));
+        let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.execute()));
         let elapsed = started.elapsed();
         match outcome {
             Ok(Ok(result)) => {
-                if Instant::now() > job.deadline {
+                if Instant::now() > deadline {
                     self.metrics.deadline_exceeded.inc();
                     Response::Error {
                         code: ErrorCode::DeadlineExceeded,
@@ -355,13 +320,7 @@ impl Shared {
                     Response::ResultSet(result)
                 }
             }
-            Ok(Err(err)) => {
-                self.metrics.query_failed(elapsed);
-                Response::Error {
-                    code: error_code_for(&err),
-                    message: err.to_string(),
-                }
-            }
+            Ok(Err(err)) => self.query_error(&err, elapsed),
             Err(panic) => {
                 self.metrics.query_failed(elapsed);
                 let detail = panic
@@ -401,7 +360,6 @@ impl Server {
             }),
             queue_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
-            write_epoch: AtomicU64::new(0),
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU64::new(1),
             local_addr,

@@ -3,15 +3,16 @@
 //! Each accepted socket gets one session thread running [`run`]: it
 //! reads request frames, dispatches them, and writes exactly one
 //! response frame per request. Cheap control requests (`Ping`,
-//! `Stats`, `ListObjects`) are answered inline; `Query` goes through
-//! the admission queue so the worker pool bounds database
-//! concurrency; `Write` runs on the session thread (the database's
-//! commit lock serializes writers) and acks only after the batch is
-//! durable; `Shutdown` acknowledges and then trips the server into
-//! draining.
+//! `Stats`, `ListObjects`) are answered inline; `Query` is prepared
+//! here, then goes through the admission queue so the worker pool
+//! bounds database concurrency; `Write` runs on the session thread
+//! (the database's commit lock serializes writers) and acks only after
+//! the batch is durable; `Shutdown` acknowledges and then trips the
+//! server into draining.
 
 use std::net::TcpStream;
 use std::sync::Arc;
+use std::time::Instant;
 
 use crate::protocol::{read_frame, write_frame, ErrorCode, ProtocolError, Request, Response};
 use crate::server::{AdmissionError, Shared};
@@ -87,20 +88,30 @@ fn serve(stream: &TcpStream, shared: &Shared) {
 
 fn handle(shared: &Shared, request: Request) -> Response {
     match request {
-        Request::Query { sql, measures } => match shared.try_submit(sql, measures) {
-            Ok(reply) => reply.recv().unwrap_or(Response::Error {
-                code: ErrorCode::Internal,
-                message: "worker dropped the query without replying".into(),
-            }),
-            Err(AdmissionError::Busy) => Response::Error {
-                code: ErrorCode::ServerBusy,
-                message: "admission queue is full; retry with backoff".into(),
-            },
-            Err(AdmissionError::ShuttingDown) => Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "server is draining; no new queries accepted".into(),
-            },
-        },
+        Request::Query { sql, measures } => {
+            // A statement is prepared once, here: a failure is answered
+            // at once, without a queue slot or a worker.
+            let started = Instant::now();
+            let measures: Vec<&str> = measures.iter().map(String::as_str).collect();
+            let prepared = match shared.db.prepare(&sql, &measures) {
+                Ok(prepared) => prepared,
+                Err(err) => return shared.query_error(&err, started.elapsed()),
+            };
+            match shared.try_submit(prepared) {
+                Ok(reply) => reply.recv().unwrap_or(Response::Error {
+                    code: ErrorCode::Internal,
+                    message: "worker dropped the query without replying".into(),
+                }),
+                Err(AdmissionError::Busy) => Response::Error {
+                    code: ErrorCode::ServerBusy,
+                    message: "admission queue is full; retry with backoff".into(),
+                },
+                Err(AdmissionError::ShuttingDown) => Response::Error {
+                    code: ErrorCode::ShuttingDown,
+                    message: "server is draining; no new queries accepted".into(),
+                },
+            }
+        }
         Request::Ping => Response::Pong,
         Request::Stats => Response::Stats(Box::new(shared.metrics_report())),
         Request::ListObjects => Response::Objects(

@@ -251,7 +251,7 @@ const DRAIN_EXECUTION_DELAY: Duration = Duration::from_millis(1000);
 /// second onto the first only when the first was admitted and has not
 /// finished, so the wait is on `queries_coalesced`. A lone query leaves
 /// none before it finishes, so it gets half the execution delay as a
-/// head start (connect + accept + fingerprinting have been seen to take
+/// head start (connect + accept + prepare have been seen to take
 /// 240 ms while the suite's other servers keep both cores busy).
 fn wait_until_in_flight(handle: &ServerHandle, clients: usize) {
     if clients == 1 {
@@ -459,6 +459,99 @@ fn identical_concurrent_queries_coalesce_and_writes_patch_cubes() {
     remove_db(&path);
 }
 
+#[test]
+fn a_query_answers_as_of_its_admission() {
+    const SQL: &str = "SELECT SUM(volume), dim0.h01 FROM sales GROUP BY dim0.h01";
+    let (keys, values) = test_spec_cell();
+    let written: Vec<i64> = values.iter().map(|v| v + 1000).collect();
+    // The post-write oracle: the same cell written in a second
+    // database that no server touches.
+    let oracle_path = temp_db_path("admission-oracle");
+    let oracle = build_db(&oracle_path);
+    let pre_write = oracle.sql(SQL, &["volume"]).unwrap();
+    oracle
+        .open_olap_array("sales")
+        .unwrap()
+        .set_by_keys(&keys, &written)
+        .unwrap();
+    let post_write = oracle.sql(SQL, &["volume"]).unwrap();
+    assert_ne!(pre_write, post_write);
+    drop(oracle);
+    remove_db(&oracle_path);
+
+    let path = temp_db_path("admission");
+    let db = build_db(&path);
+    // A writer handle on the server's buffer pool.
+    let mut writer = db.open_olap_array("sales").unwrap();
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 8,
+        default_deadline: Duration::from_secs(30),
+        debug_execution_delay: DRAIN_EXECUTION_DELAY,
+    };
+    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let addr = handle.local_addr();
+
+    std::thread::scope(|scope| {
+        let a = scope.spawn(|| ServerClient::connect(addr).unwrap().query(SQL));
+        // A is admitted and sleeping on the worker; commit a write that
+        // no server write sees, then send the same statement again.
+        wait_until_in_flight(&handle, 1);
+        writer.set_by_keys(&keys, &written).unwrap();
+        let b = ServerClient::connect(addr).unwrap().query(SQL).unwrap();
+        assert_eq!(
+            a.join().unwrap().unwrap(),
+            pre_write,
+            "A reads as of its admission"
+        );
+        assert_eq!(b, post_write, "B reads the write");
+    });
+    let stats = handle.metrics();
+    assert_eq!(
+        stats.queries_coalesced, 0,
+        "B must not attach to A: {stats:?}"
+    );
+    assert_eq!(stats.queries_ok, 2);
+
+    handle.shutdown();
+    remove_db(&path);
+}
+
+#[test]
+fn a_statement_that_does_not_prepare_takes_no_queue_slot() {
+    let path = temp_db_path("unprepared");
+    let db = build_db(&path);
+    let config = ServerConfig {
+        workers: 1,
+        queue_capacity: 1,
+        default_deadline: Duration::from_secs(30),
+        debug_execution_delay: DRAIN_EXECUTION_DELAY,
+    };
+    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let addr = handle.local_addr();
+
+    std::thread::scope(|scope| {
+        // One query busies the worker; a distinct one holds the slot.
+        let busy = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[0]));
+        wait_until_in_flight(&handle, 1);
+        let queued = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[1]));
+        std::thread::sleep(DRAIN_EXECUTION_DELAY / 5);
+
+        let mut client = ServerClient::connect(addr).unwrap();
+        let err = client.query("SELECT bogus").unwrap_err();
+        assert_eq!(err.server_code(), Some(ErrorCode::QueryError), "{err}");
+        let stats = handle.metrics();
+        assert_eq!(stats.queries_failed, 1, "{stats:?}");
+        assert_eq!(stats.queries_rejected, 0, "{stats:?}");
+
+        assert!(busy.join().unwrap().is_ok());
+        assert!(queued.join().unwrap().is_ok());
+    });
+
+    handle.shutdown();
+    remove_db(&path);
+}
+
 /// An existing cell of the [`test_spec`] cube: its dimension keys and
 /// current measure values.
 fn test_spec_cell() -> (Vec<i64>, Vec<i64>) {
@@ -523,7 +616,8 @@ fn writes_commit_durably_and_refresh_query_results() {
     let after = client.query(q).unwrap();
     assert_ne!(before, after, "the write must be visible to queries");
     // A repeat (potentially coalesced) query sees the same post-write
-    // answer: the write epoch prevents attaching to pre-write leaders.
+    // answer: it reads the write's generation, so it cannot attach to a
+    // pre-write leader.
     assert_eq!(client.query(q).unwrap(), after);
 
     // Failed writes keep the session alive and change nothing.
