@@ -256,9 +256,7 @@ impl ChunkedArray {
         }
         let pool = self.lobs.pool();
         let hit = match self.cache.as_deref() {
-            Some(cache) => {
-                cache.get_tracked(&self.chunk_key(chunk_no)?, pool.epoch(), pool.stats())
-            }
+            Some(cache) => cache.get(&self.chunk_key(chunk_no)?, pool.epoch()),
             None => None,
         };
         // The pin is checked *after* the cache: a commit published

@@ -67,32 +67,12 @@
 //! # Locking
 //!
 //! Sharded like the decoded-chunk cache: each shard's `results` mutex
-//! (see the workspace lock order, DESIGN.md §8) guards the
-//! authoritative map plus a second-chance clock ring bounded by
-//! approximate cube bytes. While a `results` mutex is held the only
-//! things ever acquired are the shard's own mirror locks (below); and
-//! shards are only ever locked one at a time — the subsumption scan
-//! clones candidate `Arc`s out shard by shard and derives outside the
-//! lock.
-//!
-//! # Optimistic reads
-//!
-//! Exact-hit lookups never take the shard `results` mutex. Each shard
-//! mirrors up to [`SLOTS_PER_SHARD`] entries into an
-//! [`AtomicIndex`] (key hash → slot) plus per-entry `result_slot`
-//! mutexes holding `(key, stamp, Arc<ResultCube>)`. A get brings the
-//! stamp its statement captured and probes under an
-//! [`OptLock`] (`results_v`) optimistic guard: index probe, slot lock,
-//! full key + stamp compare, `Arc` clone out. Hits are
-//! self-validating (the compare happens under the slot mutex), touch
-//! the second-chance bit via a relaxed per-slot atomic, and never
-//! block on the shard. Anything else — hash collision, stale stamps,
-//! version conflict after [`molap_storage::MAX_RESTARTS`] retries —
-//! falls back to the `results` mutex path, which alone drops stale
-//! entries and serves overflow entries the mirror had no slot for.
-//! All mutations hold the shard mutex and update slots under their
-//! mutexes; those that change the index also take `results_v`
-//! exclusively.
+//! (see the workspace lock order, DESIGN.md §8) guards the map plus a
+//! second-chance clock ring bounded by approximate cube bytes. Every
+//! lookup, insert and removal takes the shard mutex, nothing else is
+//! ever acquired while it is held, and shards are only ever locked one
+//! at a time — the subsumption scan clones candidate `Arc`s out shard
+//! by shard and derives outside the lock.
 
 use std::collections::HashMap;
 use std::hash::Hasher;
@@ -101,9 +81,8 @@ use std::sync::Arc;
 
 use molap_array::ChunkSnapshot;
 use molap_storage::util::fib_shard;
-use molap_storage::{AtomicIndex, BufferPool, IoStats, OptLock, OptProbe, OptRead};
+use molap_storage::BufferPool;
 use parking_lot::Mutex;
-use std::sync::atomic::AtomicBool;
 
 use crate::adt::OlapArray;
 use crate::error::Result;
@@ -143,13 +122,11 @@ impl CacheKey {
         }
     }
 
-    /// Mixed hash used for both shard routing and the mirror index.
-    /// The top bit is cleared so the value never collides with the
-    /// [`AtomicIndex`] reserved keys.
+    /// Mixed hash used for shard routing.
     fn hash64(&self) -> u64 {
         let mut h = FxHasher::default();
         std::hash::Hash::hash(self, &mut h);
-        h.finish() & (u64::MAX >> 1)
+        h.finish()
     }
 }
 
@@ -168,32 +145,6 @@ struct CacheEntry {
     bytes: usize,
     stamp: Stamp,
     referenced: bool,
-    /// Mirror slot serving lock-free gets, `None` for overflow entries
-    /// (mirror full) — those are served by the mutex path only.
-    slot: Option<usize>,
-}
-
-/// Mirror slots per shard; entries beyond this many per shard still
-/// cache fine, they just miss optimistically and hit via the mutex.
-const SLOTS_PER_SHARD: usize = 64;
-
-/// Published copy of one mirrored entry, read by optimistic gets.
-struct SlotData {
-    key: Arc<CacheKey>,
-    stamp: Stamp,
-    cube: Arc<ResultCube>,
-}
-
-/// One mirror slot. The field name `result_slot` is load-bearing: it
-/// is the rank the workspace lock order (and molap-lint) knows this
-/// mutex by. It nests inside `results` and `results_v` and guards
-/// nothing but its own `SlotData`, so it is held only for a
-/// compare-and-clone.
-struct ResultSlot {
-    result_slot: Mutex<Option<SlotData>>,
-    /// Second-chance bit, touched by optimistic hits without any shard
-    /// lock; eviction folds it into the entry's own bit.
-    referenced: AtomicBool,
 }
 
 struct ShardMap {
@@ -203,8 +154,6 @@ struct ShardMap {
     ring: Vec<Arc<CacheKey>>,
     hand: usize,
     bytes: usize,
-    /// Free mirror slots.
-    free: Vec<usize>,
 }
 
 /// One cache shard. The field name `results` is load-bearing: it is
@@ -212,112 +161,41 @@ struct ShardMap {
 /// by.
 struct CacheShard {
     results: Mutex<ShardMap>,
-    /// Version word over the mirror; writers hold it exclusively
-    /// (under `results`) across every index/slot change.
-    results_v: OptLock,
-    /// Key hash → mirror slot, probed without any lock.
-    index: AtomicIndex,
-    slots: Box<[ResultSlot]>,
 }
 
-impl CacheShard {
-    fn new() -> CacheShard {
-        CacheShard {
-            results: Mutex::new(ShardMap {
-                map: HashMap::new(),
-                ring: Vec::new(),
-                hand: 0,
-                bytes: 0,
-                free: (0..SLOTS_PER_SHARD).collect(),
-            }),
-            results_v: OptLock::new(),
-            index: AtomicIndex::with_capacity(SLOTS_PER_SHARD),
-            slots: (0..SLOTS_PER_SHARD)
-                .map(|_| ResultSlot {
-                    result_slot: Mutex::new(None),
-                    referenced: AtomicBool::new(false),
-                })
-                .collect(),
-        }
-    }
-
-    /// Removes `key` from the map and, if mirrored, retires its slot.
-    /// Caller holds the `results` mutex.
-    fn remove_entry(&self, m: &mut ShardMap, key: &CacheKey) {
-        if let Some(entry) = m.map.remove(key) {
-            m.bytes = m.bytes.saturating_sub(entry.bytes);
-            if let Some(idx) = entry.slot {
-                let _v = self.results_v.lock_exclusive();
-                self.index.remove(key.hash64(), idx as u64);
-                if let Some(slot) = self.slots.get(idx) {
-                    *slot.result_slot.lock() = None;
-                    slot.referenced.store(false, Ordering::Relaxed);
-                }
-                m.free.push(idx);
-            }
-        }
-    }
-
-    /// Publishes a freshly inserted entry into mirror slot `idx`.
-    /// Caller holds the `results` mutex and has already inserted the
-    /// entry into the map.
-    fn publish_slot(&self, m: &ShardMap, idx: usize, data: SlotData) {
-        let hash = data.key.hash64();
-        let _v = self.results_v.lock_exclusive();
-        if !self.index.insert(hash, idx as u64) {
-            // Tombstones from evictions filled the index: rebuild it
-            // from the authoritative map, then retry (guaranteed to fit
-            // — live mirrored entries never exceed the slot count).
-            self.index.clear();
-            for (k, e) in &m.map {
-                if let Some(i) = e.slot {
-                    let _ = self.index.insert(k.hash64(), i as u64);
-                }
-            }
-            let _ = self.index.insert(hash, idx as u64);
-        }
-        if let Some(slot) = self.slots.get(idx) {
-            *slot.result_slot.lock() = Some(data);
-            slot.referenced.store(true, Ordering::Relaxed);
+impl ShardMap {
+    /// Removes `key` from the map.
+    fn remove_entry(&mut self, key: &CacheKey) {
+        if let Some(entry) = self.map.remove(key) {
+            self.bytes = self.bytes.saturating_sub(entry.bytes);
         }
     }
 
     /// Evicts one unreferenced entry; returns false if nothing was
     /// evictable (the ring cycled twice clearing reference bits).
-    /// Caller holds the `results` mutex.
-    fn evict_one(&self, m: &mut ShardMap) -> bool {
-        let mut budget = 2 * m.ring.len();
-        while budget > 0 && !m.ring.is_empty() {
+    fn evict_one(&mut self) -> bool {
+        let mut budget = 2 * self.ring.len();
+        while budget > 0 && !self.ring.is_empty() {
             budget -= 1;
-            if m.hand >= m.ring.len() {
-                m.hand = 0;
+            if self.hand >= self.ring.len() {
+                self.hand = 0;
             }
-            let Some(key) = m.ring.get(m.hand).cloned() else {
+            let Some(key) = self.ring.get(self.hand).cloned() else {
                 break;
             };
-            let touched = match m.map.get_mut(&key) {
+            let touched = match self.map.get_mut(&key) {
                 // Stale ring slot (entry removed/invalidated): compact.
                 None => {
-                    m.ring.swap_remove(m.hand);
+                    self.ring.swap_remove(self.hand);
                     continue;
                 }
-                Some(entry) => {
-                    // Fold the slot's lock-free touch bit into the
-                    // entry's; both clear on this clock pass.
-                    let slot_touch = entry
-                        .slot
-                        .and_then(|i| self.slots.get(i))
-                        .is_some_and(|s| s.referenced.swap(false, Ordering::Relaxed));
-                    let touched = entry.referenced || slot_touch;
-                    entry.referenced = false;
-                    touched
-                }
+                Some(entry) => std::mem::replace(&mut entry.referenced, false),
             };
             if touched {
-                m.hand += 1;
+                self.hand += 1;
             } else {
-                self.remove_entry(m, &key);
-                m.ring.swap_remove(m.hand);
+                self.remove_entry(&key);
+                self.ring.swap_remove(self.hand);
                 return true;
             }
         }
@@ -341,7 +219,16 @@ impl ResultCache {
     /// cubes. A zero capacity disables caching (inserts no-op).
     pub fn new(capacity_bytes: usize) -> Self {
         ResultCache {
-            shards: (0..CACHE_SHARDS).map(|_| CacheShard::new()).collect(),
+            shards: (0..CACHE_SHARDS)
+                .map(|_| CacheShard {
+                    results: Mutex::new(ShardMap {
+                        map: HashMap::new(),
+                        ring: Vec::new(),
+                        hand: 0,
+                        bytes: 0,
+                    }),
+                })
+                .collect(),
             shard_capacity: capacity_bytes / CACHE_SHARDS,
             write_gen: AtomicU64::new(0),
         }
@@ -364,68 +251,19 @@ impl ResultCache {
         self.write_gen.fetch_add(1, Ordering::AcqRel);
     }
 
-    /// Looks up the entry for `key` stamped exactly `stamp`, recording
-    /// the optimistic probe's outcome (reads / restarts / escalations)
-    /// into `stats`. An entry with another stamp is dropped on the
-    /// spot, unless its generation is newer than `stamp`'s: that one
-    /// serves later snapshots and stays.
-    pub(crate) fn get(
-        &self,
-        key: &CacheKey,
-        stamp: Stamp,
-        stats: Option<&IoStats>,
-    ) -> Option<Arc<ResultCube>> {
-        let shard = self.shard(key);
-        let (hit, restarts, escalated) = match Self::get_opt(shard, key, stamp) {
-            OptRead::Hit { value, restarts } => (Some(value), restarts, false),
-            OptRead::Miss { restarts } => (None, restarts, false),
-            OptRead::Escalated { restarts } => (None, restarts, true),
-        };
-        if let Some(stats) = stats {
-            stats.opt_result(u64::from(restarts), escalated);
-        }
-        hit.or_else(|| Self::get_locked(shard, key, stamp))
-    }
-
-    /// The lock-free fast path: probe the mirror under an optimistic
-    /// guard. Hits are self-validating (full key + stamp compared
-    /// under the slot mutex); a miss only means "not answerable
-    /// without the shard mutex".
-    fn get_opt(shard: &CacheShard, key: &CacheKey, stamp: Stamp) -> OptRead<Arc<ResultCube>> {
-        let hash = key.hash64();
-        shard.results_v.optimistic_read(|_guard| {
-            let Some(idx) = shard.index.probe(hash) else {
-                return OptProbe::Miss;
-            };
-            let Some(slot) = shard.slots.get(idx as usize) else {
-                return OptProbe::Conflict;
-            };
-            let data = slot.result_slot.lock();
-            match data.as_ref() {
-                Some(d) if *d.key == *key && d.stamp == stamp => {
-                    let cube = d.cube.clone();
-                    drop(data);
-                    slot.referenced.store(true, Ordering::Relaxed);
-                    OptProbe::Hit(cube)
-                }
-                // Hash collision, remapped slot, or stale stamps: the
-                // mutex path decides (and drops stale entries).
-                _ => OptProbe::Miss,
-            }
-        })
-    }
-
-    /// The mutex path: authoritative lookup, eager stale-entry drop,
-    /// and the only server of overflow (unmirrored) entries.
-    fn get_locked(shard: &CacheShard, key: &CacheKey, stamp: Stamp) -> Option<Arc<ResultCube>> {
-        let mut m = shard.results.lock();
+    /// Looks up the entry for `key` stamped exactly `stamp`. An entry
+    /// with another stamp is dropped on the spot, unless its generation
+    /// is newer than `stamp`'s: that one serves later snapshots and
+    /// stays.
+    pub(crate) fn get(&self, key: &CacheKey, stamp: Stamp) -> Option<Arc<ResultCube>> {
+        let mut m = self.shard(key).results.lock();
         match m.map.get_mut(key) {
             Some(entry) if entry.stamp == stamp => {
                 entry.referenced = true;
                 Some(entry.cube.clone())
             }
             Some(entry) if entry.stamp.gen <= stamp.gen => {
-                shard.remove_entry(&mut m, key);
+                m.remove_entry(key);
                 None
             }
             _ => None,
@@ -445,34 +283,28 @@ impl ResultCache {
         }
         let key = Arc::new(key);
         let mut evicted = 0u64;
-        let shard = self.shard(&key);
-        let mut m = shard.results.lock();
+        let mut m = self.shard(&key).results.lock();
         if m.map.get(&key).is_some_and(|e| e.stamp.gen > stamp.gen) {
             return 0;
         }
-        shard.remove_entry(&mut m, &key); // replace any older entry under the same key
+        m.remove_entry(&key); // replace any older entry under the same key
         while m.bytes + bytes > self.shard_capacity {
-            if !shard.evict_one(&mut m) {
+            if !m.evict_one() {
                 return evicted; // nothing evictable; skip caching
             }
             evicted += 1;
         }
         m.bytes += bytes;
-        let slot = m.free.pop();
         m.map.insert(
             key.clone(),
             CacheEntry {
-                cube: cube.clone(),
+                cube,
                 bytes,
                 stamp,
                 referenced: true,
-                slot,
             },
         );
-        m.ring.push(key.clone());
-        if let Some(idx) = slot {
-            shard.publish_slot(&m, idx, SlotData { key, stamp, cube });
-        }
+        m.ring.push(key);
         evicted
     }
 
@@ -529,11 +361,6 @@ impl ResultCache {
                     continue;
                 }
                 entry.stamp = to;
-                if let Some(slot) = entry.slot.and_then(|i| shard.slots.get(i)) {
-                    if let Some(data) = slot.result_slot.lock().as_mut() {
-                        data.stamp = to;
-                    }
-                }
             }
         }
         out
@@ -557,9 +384,7 @@ impl ResultCache {
     /// Removes one entry (delta-maintenance MIN/MAX fallback: the cube
     /// is recomputed at its next lookup).
     fn remove_entry(&self, key: &CacheKey) {
-        let shard = self.shard(key);
-        let mut m = shard.results.lock();
-        shard.remove_entry(&mut m, key);
+        self.shard(key).results.lock().remove_entry(key);
     }
 }
 
@@ -742,7 +567,7 @@ where
     };
     let key = CacheKey::of(adt, query);
 
-    if let Some(cube) = cache.get(&key, stamp, Some(stats)) {
+    if let Some(cube) = cache.get(&key, stamp) {
         stats.result_cache_hits.inc();
         return cube.to_result(&query.aggs);
     }
@@ -924,17 +749,17 @@ mod tests {
         let cache = ResultCache::new(1 << 20);
         let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
         let key = CacheKey::of(&adt, &q);
-        assert!(cache.get(&key, at(&cache, 0, 0), None).is_none());
+        assert!(cache.get(&key, at(&cache, 0, 0)).is_none());
         let cube = Arc::new(cube_for(&adt, &q));
         cache.insert(key.clone(), cube.clone(), at(&cache, 0, 0));
-        let hit = cache.get(&key, at(&cache, 0, 0), None).unwrap();
+        let hit = cache.get(&key, at(&cache, 0, 0)).unwrap();
         assert_eq!(
             hit.to_result(&q.aggs).unwrap(),
             adt.consolidate(&q).unwrap()
         );
         // A different grouping is a different key.
         let other = CacheKey::of(&adt, &Query::new(vec![DimGrouping::Key, DimGrouping::Drop]));
-        assert!(cache.get(&other, at(&cache, 0, 0), None).is_none());
+        assert!(cache.get(&other, at(&cache, 0, 0)).is_none());
     }
 
     #[test]
@@ -945,20 +770,29 @@ mod tests {
         let key = CacheKey::of(&adt, &q);
         cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 3, 0));
         assert!(
-            cache.get(&key, at(&cache, 4, 0), None).is_none(),
+            cache.get(&key, at(&cache, 4, 0)).is_none(),
             "cleared pool = cold"
         );
         assert!(
-            cache.get(&key, at(&cache, 3, 0), None).is_none(),
+            cache.get(&key, at(&cache, 3, 0)).is_none(),
             "stale entry dropped eagerly"
         );
         cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 3, 0));
+        assert!(cache.get(&key, at(&cache, 3, 0)).is_some());
         cache.bump_write_gen();
         assert!(
-            cache.get(&key, at(&cache, 3, 0), None).is_none(),
+            cache.get(&key, at(&cache, 3, 0)).is_none(),
             "write invalidates"
         );
-        assert_eq!(cache.bytes(), 0);
+        // Snapshot generation: a reader at a later generation misses
+        // and drops the older entry.
+        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 3, 0));
+        assert!(cache.get(&key, at(&cache, 3, 0)).is_some());
+        assert!(
+            cache.get(&key, at(&cache, 3, 1)).is_none(),
+            "later snapshot = cold"
+        );
+        assert_eq!(cache.bytes(), 0, "stale entries dropped eagerly");
     }
 
     #[test]
@@ -1068,53 +902,8 @@ mod tests {
     }
 
     #[test]
-    fn optimistic_hits_bypass_the_shard_mutex() {
-        let adt = build();
-        let cache = ResultCache::new(1 << 20);
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let key = CacheKey::of(&adt, &q);
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
-        let stats = IoStats::new();
-        // Hold the shard's own mutex across the gets: a hit that ever
-        // touched `results` would deadlock here.
-        let _m = cache.shard(&key).results.lock();
-        for _ in 0..5 {
-            assert!(cache.get(&key, at(&cache, 0, 0), Some(&stats)).is_some());
-        }
-        let snap = stats.snapshot();
-        assert_eq!(snap.opt_result_reads, 5);
-        assert_eq!(snap.opt_result_escalations, 0);
-    }
-
-    #[test]
-    fn optimistic_path_respects_every_invalidation_signal() {
-        let adt = build();
-        let cache = ResultCache::new(1 << 20);
-        let q = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
-        let key = CacheKey::of(&adt, &q);
-        let io = IoStats::new();
-        let stats = Some(&io);
-        // Global write generation.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
-        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_some());
-        cache.bump_write_gen();
-        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_none());
-        // Snapshot generation: a reader at a later generation misses
-        // and drops the older entry.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 0, 0));
-        assert!(cache.get(&key, at(&cache, 0, 0), stats).is_some());
-        assert!(cache.get(&key, at(&cache, 0, 1), stats).is_none());
-        // Pool clear epoch.
-        cache.insert(key.clone(), Arc::new(cube_for(&adt, &q)), at(&cache, 7, 0));
-        assert!(cache.get(&key, at(&cache, 7, 0), stats).is_some());
-        assert!(cache.get(&key, at(&cache, 8, 0), stats).is_none());
-        assert_eq!(cache.bytes(), 0, "stale entries dropped eagerly");
-        assert_eq!(io.snapshot().opt_result_reads, 6);
-    }
-
-    #[test]
     fn concurrent_gets_race_inserts_and_invalidations() {
-        // Readers hammer the optimistic path while writers insert and
+        // Readers hammer the lookup path while writers insert and
         // fire every invalidation signal. Each key always maps to one
         // known cube, so any hit must be exactly that Arc — a torn or
         // stale read would surface as a foreign pointer or a panic.
@@ -1131,7 +920,6 @@ mod tests {
             .map(|q| (CacheKey::of(&adt, q), Arc::new(cube_for(&adt, q))))
             .collect();
         let entries = Arc::new(entries);
-        let stats = Arc::new(IoStats::new());
         let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
         // The snapshot generation readers look up at and inserts stamp.
         let gen = Arc::new(AtomicU64::new(0));
@@ -1140,25 +928,21 @@ mod tests {
             .map(|t| {
                 let cache = cache.clone();
                 let entries = entries.clone();
-                let stats = stats.clone();
                 let stop = stop.clone();
                 let gen = gen.clone();
                 std::thread::spawn(move || {
-                    let mut hits = 0u64;
                     let mut i = t;
                     while !stop.load(std::sync::atomic::Ordering::Relaxed) {
                         let (key, cube) = &entries[i % entries.len()];
                         let stamp = at(&cache, 0, gen.load(Ordering::Acquire));
-                        if let Some(got) = cache.get(key, stamp, Some(&stats)) {
+                        if let Some(got) = cache.get(key, stamp) {
                             assert!(
                                 Arc::ptr_eq(&got, cube),
                                 "hit returned a cube never inserted for this key"
                             );
-                            hits += 1;
                         }
                         i += 1;
                     }
-                    hits
                 })
             })
             .collect();
@@ -1180,9 +964,9 @@ mod tests {
             }
         }
         stop.store(true, std::sync::atomic::Ordering::Relaxed);
-        let hits: u64 = readers.into_iter().map(|r| r.join().unwrap()).sum();
-        let snap = stats.snapshot();
-        assert!(snap.opt_result_reads >= hits, "every hit was tracked");
+        for r in readers {
+            r.join().unwrap();
+        }
     }
 
     #[test]
@@ -1196,18 +980,18 @@ mod tests {
         // A slow reader that computed at generation 4 inserts late.
         let older = Arc::new(cube_for(&adt, &q));
         assert_eq!(cache.insert(key.clone(), older, at(&cache, 0, 4)), 0);
-        let hit = cache.get(&key, at(&cache, 0, 5), None).expect("kept");
+        let hit = cache.get(&key, at(&cache, 0, 5)).expect("kept");
         assert!(Arc::ptr_eq(&hit, &newer));
         // Its lookup misses without dropping the newer entry.
-        assert!(cache.get(&key, at(&cache, 0, 4), None).is_none());
-        assert!(cache.get(&key, at(&cache, 0, 5), None).is_some());
+        assert!(cache.get(&key, at(&cache, 0, 4)).is_none());
+        assert!(cache.get(&key, at(&cache, 0, 5)).is_some());
         // The same generation replaces; a later one replaces too.
         let same = Arc::new(cube_for(&adt, &q));
         cache.insert(key.clone(), same.clone(), at(&cache, 0, 5));
-        let hit = cache.get(&key, at(&cache, 0, 5), None).expect("replaced");
+        let hit = cache.get(&key, at(&cache, 0, 5)).expect("replaced");
         assert!(Arc::ptr_eq(&hit, &same));
         cache.insert(key.clone(), newer, at(&cache, 0, 6));
-        assert!(cache.get(&key, at(&cache, 0, 6), None).is_some());
+        assert!(cache.get(&key, at(&cache, 0, 6)).is_some());
         assert_eq!(cache.len(), 1);
     }
 

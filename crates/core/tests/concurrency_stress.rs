@@ -126,6 +126,23 @@ fn mixed_concurrent_consolidations_match_sequential() {
         .map(|sh| sh.hits + sh.misses)
         .sum();
     assert!(shard_totals > 0, "pool shards must have seen traffic");
+    // No structure reads optimistically: the twelve `olc` rows the
+    // STATS layout keeps read zero after all this traffic.
+    let olc = [
+        s.opt_pool_reads,
+        s.opt_pool_restarts,
+        s.opt_pool_escalations,
+        s.opt_chunk_reads,
+        s.opt_chunk_restarts,
+        s.opt_chunk_escalations,
+        s.opt_result_reads,
+        s.opt_result_restarts,
+        s.opt_result_escalations,
+        s.opt_btree_reads,
+        s.opt_btree_restarts,
+        s.opt_btree_escalations,
+    ];
+    assert_eq!(olc, [0; 12], "{s:?}");
 
     drop(db);
     let _ = std::fs::remove_file(&path);

@@ -27,10 +27,10 @@
 //!
 //! # Effect kinds
 //!
-//! [`Effect`] is the extension point: a future primitive (e.g. the
-//! optimistic guard from ROADMAP item 1) slots in as a new variant, a
-//! direct-extraction arm in [`line_facts`], and a consumer in a rule —
-//! the propagation engine itself is kind-agnostic.
+//! [`Effect`] is the extension point: a new primitive slots in as a
+//! new variant, a direct-extraction arm in [`line_facts`], and a
+//! consumer in a rule — the propagation engine itself is
+//! kind-agnostic.
 //!
 //! # Spawn detachment
 //!
@@ -247,12 +247,6 @@ const KEYWORDS: &[&str] = &[
 pub enum Effect {
     /// Acquires the named lock field somewhere inside.
     Acquire(String),
-    /// Exclusively locks the named optimistic version word
-    /// (`.lock_exclusive()` on an `OptLock` field) somewhere inside.
-    /// Ranked and propagated exactly like [`Effect::Acquire`] — the
-    /// exclusive side of a version word is a spinlock, so it deadlocks
-    /// like one — but kept keyed apart so findings name the primitive.
-    AcquireOpt(String),
     /// Performs file/socket I/O (the marker is kept for messages).
     Io(String),
     /// Parks the calling thread (condvar wait, join, channel recv).
@@ -280,8 +274,6 @@ pub struct Acq {
     pub binding: Option<String>,
     /// Statement-temporary: the guard cannot outlive its line.
     pub temporary: bool,
-    /// True for `.lock_exclusive()` on an optimistic version word.
-    pub optimistic: bool,
 }
 
 /// One direct blocking site.
@@ -300,11 +292,6 @@ pub struct LineFacts {
     /// 1-indexed source line.
     pub line: usize,
     pub acquisitions: Vec<Acq>,
-    /// Optimistic *read* spans opened on this line
-    /// (`.begin_optimistic()` bindings, `.optimistic_read(` closures).
-    /// Not locks — they order nothing — but I/O performed while one is
-    /// live is the `olc-io` rule's finding.
-    pub opt_spans: Vec<Acq>,
     pub io: Vec<&'static str>,
     pub blocking: Vec<BlockingOp>,
     /// Outgoing call names (deduped, resolvable candidates only).
@@ -693,15 +680,12 @@ fn extract_units(
         let mut summary: Summary = BTreeMap::new();
         for lf in &facts {
             for a in &lf.acquisitions {
-                let effect = if a.optimistic {
-                    Effect::AcquireOpt(a.lock.clone())
-                } else {
-                    Effect::Acquire(a.lock.clone())
-                };
-                summary.entry(effect).or_insert(Provenance {
-                    line: lf.line,
-                    via: None,
-                });
+                summary
+                    .entry(Effect::Acquire(a.lock.clone()))
+                    .or_insert(Provenance {
+                        line: lf.line,
+                        via: None,
+                    });
             }
             for m in &lf.io {
                 summary
@@ -962,7 +946,6 @@ fn line_facts(
         ..LineFacts::default()
     };
     lf.acquisitions = find_acquisitions(slice);
-    find_optimistic_sites(slice, &mut lf.acquisitions, &mut lf.opt_spans);
     lf.binding = binding_name(slice.trim_start());
     lf.let_else = slice.trim_start().starts_with("let ") && slice.trim_end().ends_with("else {");
     lf.dropped = dropped_binding(slice).map(str::to_string);
@@ -1078,106 +1061,10 @@ pub fn find_acquisitions(line: &str) -> Vec<Acq> {
                 lock,
                 binding,
                 temporary,
-                optimistic: false,
             });
         }
     }
     out
-}
-
-/// Finds the optimistic-concurrency sites on a scrubbed line slice:
-/// `.lock_exclusive()` (the version word's exclusive/spinlock side,
-/// pushed into `acquisitions` with `optimistic: true`) and
-/// `.begin_optimistic()` / `.optimistic_read(` (read *spans*, pushed
-/// into `opt_spans`). Receivers key by field name like ordinary lock
-/// acquisitions, with one extra wrinkle: an index or call group before
-/// the method (`tree_v[stripe].begin_optimistic()`) is skipped so the
-/// field still names the span.
-fn find_optimistic_sites(line: &str, acquisitions: &mut Vec<Acq>, opt_spans: &mut Vec<Acq>) {
-    let trimmed = line.trim_start();
-    let is_binding = trimmed.starts_with("let ")
-        || trimmed.starts_with("if let ")
-        || trimmed.starts_with("while let ");
-    for (method, exclusive) in [
-        (".lock_exclusive()", true),
-        (".begin_optimistic()", false),
-        (".optimistic_read(", false),
-    ] {
-        let mut from = 0usize;
-        while let Some(rel) = line[from..].find(method) {
-            let at = from + rel;
-            from = at + method.len();
-            let lock = receiver_ident(line, at).to_string();
-            if lock.is_empty() || lock == "self" {
-                continue;
-            }
-            let binding = if is_binding {
-                binding_name(trimmed)
-            } else {
-                None
-            };
-            let temporary = if method == ".optimistic_read(" {
-                // A multi-line closure (`optimistic_read(|g| {`) keeps
-                // the span live until its brace closes; a one-line call
-                // is consumed with its statement.
-                line[at..].matches('{').count() <= line[at..].matches('}').count()
-            } else if line[at + method.len()..].starts_with(['.', '?']) {
-                // `begin_optimistic()?.confirm()` pins a number, not a
-                // span; chained guards die with the statement.
-                true
-            } else if is_binding {
-                binding.as_deref() == Some("_")
-            } else {
-                true
-            };
-            let site = Acq {
-                lock,
-                binding,
-                temporary,
-                optimistic: true,
-            };
-            if exclusive {
-                acquisitions.push(site);
-            } else {
-                opt_spans.push(site);
-            }
-        }
-    }
-}
-
-/// The identifier a method call at byte `at` is invoked on, skipping
-/// back over one trailing `[…]` / `(…)` group so
-/// `tree_v[stripe].begin_optimistic()` keys to `tree_v`.
-fn receiver_ident(line: &str, at: usize) -> &str {
-    let bytes = line.as_bytes();
-    let mut end = at;
-    if end > 0 && (bytes[end - 1] == b']' || bytes[end - 1] == b')') {
-        let (close, open) = if bytes[end - 1] == b']' {
-            (b']', b'[')
-        } else {
-            (b')', b'(')
-        };
-        let mut depth = 0i32;
-        let mut i = end;
-        let mut matched = false;
-        while i > 0 {
-            i -= 1;
-            if bytes[i] == close {
-                depth += 1;
-            } else if bytes[i] == open {
-                depth -= 1;
-                if depth == 0 {
-                    end = i;
-                    matched = true;
-                    break;
-                }
-            }
-        }
-        if !matched {
-            return "";
-        }
-    }
-    ident_ending_at(line, end)
 }
 
 /// `let [mut] <name> = …` → the bound name, if it is a plain ident.

@@ -19,16 +19,6 @@
 //!   is the guard handed to the wait itself (`cv.wait(&mut g)` releases
 //!   `g` while parked). The runtime counterpart panics in the shim's
 //!   `lock-order-tracking` feature.
-//! * `olc-io` — file/socket I/O while an optimistic *read span* (a
-//!   live `begin_optimistic` guard or an `optimistic_read` closure) is
-//!   open. The span's reads are provisional until validation, so I/O
-//!   inside it either acts on bytes that may be torn or repeats on
-//!   every restart of the retry loop; do the I/O first, then read
-//!   under the span and re-check the version with
-//!   `OptimisticGuard::validate`.
-//!   `.lock_exclusive()` on a version word needs no extra rule: it is
-//!   an ordinary ranked acquisition (`Effect::AcquireOpt`) and the
-//!   three rules above all apply to it.
 //!
 //! Guard liveness is lexical: a `let`/`for`/`match` binding of
 //! `<field>.lock()`/`.read()`/`.write()` is live until its enclosing
@@ -56,15 +46,6 @@ use crate::Finding;
 /// `state`/`data` (buffer pool: shard state, then per-frame latch),
 /// `pages` (MemDisk backing store).
 ///
-/// The `*_v` names are the optimistic version words (exclusive side is
-/// a spinlock, so it ranks like any lock): each sits directly after
-/// the shard mutex whose structure it versions — except `state_v`,
-/// which the pool's fault-in takes while the claimed frame latch
-/// (`data`) is still held, so it must rank after `data` too. The
-/// `*_slot` names are the caches' per-slot mirror mutexes, taken after
-/// their version word by both the mutation paths and the optimistic
-/// probes.
-///
 /// The DESIGN.md §8 lock table is cross-checked against this const by
 /// the `doc-drift` rule; the two cannot silently diverge.
 pub const DECLARED_ORDER: &[&str] = &[
@@ -75,18 +56,13 @@ pub const DECLARED_ORDER: &[&str] = &[
     "commit",
     "catalog",
     "results",
-    "results_v",
-    "result_slot",
     "delivery",
     "chunks",
-    "chunks_v",
-    "chunk_slot",
     "versions",
     "dir",
     "pack",
     "state",
     "data",
-    "state_v",
     "pages",
 ];
 
@@ -124,7 +100,6 @@ pub fn check_model(model: &Model<'_>, findings: &mut Vec<Finding>) {
 fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut Vec<Finding>) {
     let mut depth = 0i32;
     let mut live: Vec<LiveGuard> = Vec::new();
-    let mut live_opt: Vec<LiveGuard> = Vec::new();
 
     for lf in &unit.lines {
         let lineno = lf.line;
@@ -160,7 +135,7 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
                     let callee = &model.units[j];
                     for effect in callee.summary.keys() {
                         match effect {
-                            Effect::Acquire(lock) | Effect::AcquireOpt(lock) => {
+                            Effect::Acquire(lock) => {
                                 let Some(new_rank) = rank(lock) else {
                                     continue;
                                 };
@@ -198,23 +173,6 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
                                             "I/O (`{}`) reached via {} while lock guard `{}` \
                                              (line {}) is held; move the call outside the \
                                              critical section",
-                                            trim_marker(marker),
-                                            model.chain(j, effect),
-                                            g.lock,
-                                            g.line
-                                        ),
-                                    });
-                                }
-                                if let Some(g) = live_opt.first() {
-                                    findings.push(Finding {
-                                        path: file.path.clone(),
-                                        line: lineno,
-                                        rule: "olc-io".into(),
-                                        message: format!(
-                                            "I/O (`{}`) reached via {} inside the optimistic \
-                                             read span on `{}` (line {}); do the I/O with no \
-                                             span open and re-check with \
-                                             `OptimisticGuard::validate`",
                                             trim_marker(marker),
                                             model.chain(j, effect),
                                             g.lock,
@@ -278,34 +236,6 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
             }
         }
 
-        // olc-io, direct: I/O markers while an optimistic read span is
-        // live (the span may open on this same line).
-        let opt_open_here = !lf.opt_spans.iter().all(|a| a.temporary);
-        if !live_opt.is_empty() || opt_open_here {
-            for marker in &lf.io {
-                let holder = live_opt
-                    .first()
-                    .map(|g| format!("`{}` (line {})", g.lock, g.line))
-                    .unwrap_or_else(|| {
-                        lf.opt_spans
-                            .first()
-                            .map(|a| format!("`{}` (this line)", a.lock))
-                            .unwrap_or_default()
-                    });
-                findings.push(Finding {
-                    path: file.path.clone(),
-                    line: lineno,
-                    rule: "olc-io".into(),
-                    message: format!(
-                        "I/O call `{}` inside the optimistic read span on {}; do the I/O \
-                         with no span open and re-check with `OptimisticGuard::validate`",
-                        trim_marker(marker),
-                        holder
-                    ),
-                });
-            }
-        }
-
         // lock-blocking, direct: a blocking op while a guard other
         // than the waited-on one is live.
         for op in &lf.blocking {
@@ -338,16 +268,6 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
         } else {
             depth
         };
-        for span in &lf.opt_spans {
-            if !span.temporary {
-                live_opt.push(LiveGuard {
-                    lock: span.lock.clone(),
-                    binding: span.binding.clone(),
-                    line: lineno,
-                    min_depth: guard_depth,
-                });
-            }
-        }
         for acq in &lf.acquisitions {
             if !acq.temporary {
                 live.push(LiveGuard {
@@ -384,10 +304,8 @@ fn check_unit(model: &Model<'_>, unit: &Unit, file: &SourceFile, findings: &mut 
         // Explicit drops.
         if let Some(dropped) = &lf.dropped {
             live.retain(|g| g.binding.as_deref() != Some(dropped.as_str()));
-            live_opt.retain(|g| g.binding.as_deref() != Some(dropped.as_str()));
         }
         live.retain(|g| depth >= g.min_depth);
-        live_opt.retain(|g| depth >= g.min_depth);
     }
 }
 

@@ -100,7 +100,6 @@ fn every_rule_fires_and_respects_allows() {
         "lock-io",
         "lock-order",
         "lock-blocking",
-        "olc-io",
         "protocol-order",
         "doc-drift",
         "unsafe-inventory",

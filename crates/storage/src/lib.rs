@@ -55,7 +55,6 @@ pub mod counters;
 mod disk;
 mod error;
 mod lob;
-pub mod olc;
 mod page;
 mod pool;
 mod stats;
@@ -65,9 +64,6 @@ mod wal;
 pub use disk::{DiskManager, FileDisk, MemDisk};
 pub use error::{Result, StorageError};
 pub use lob::{LobId, LobStore};
-pub use olc::{
-    AtomicIndex, ExclusiveOptGuard, OptLock, OptProbe, OptRead, OptimisticGuard, MAX_RESTARTS,
-};
 pub use page::{PageBuf, PageId, INVALID_PAGE, PAGE_SIZE};
 pub use pool::{BufferPool, PageMut, PageRef};
 pub use stats::{IoSnapshot, IoStats, PoolReport, ShardStats};

@@ -42,7 +42,6 @@ use parking_lot::{Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 use crate::counters::Counter;
 use crate::disk::DiskManager;
 use crate::error::{Result, StorageError};
-use crate::olc::{AtomicIndex, OptLock, MAX_RESTARTS};
 use crate::page::{PageBuf, PageId, PAGE_SIZE};
 use crate::stats::{IoStats, ShardStats};
 use crate::util::fib_shard;
@@ -105,17 +104,7 @@ struct Shard {
     /// Number of frames owned by this shard.
     len: usize,
     state: Mutex<ShardState>,
-    /// Version word over `state.table`: every table mutation runs under
-    /// an exclusive hold, so `pin_opt`'s lock-free hits validate
-    /// against it. Ranks directly after the frame latch (`state` →
-    /// `data` → `state_v` in DESIGN.md §8): the miss path mutates the
-    /// table while holding both.
-    state_v: OptLock,
-    /// Lock-free mirror of `state.table` (page id → frame index),
-    /// maintained under `state_v`; the authority stays the `HashMap`.
-    index: AtomicIndex,
-    /// Page-table hits and misses, atomic so the optimistic hit path
-    /// can count without the shard mutex.
+    /// Page-table hits and misses.
     hits: Counter,
     misses: Counter,
 }
@@ -170,8 +159,6 @@ impl BufferPool {
                     table: HashMap::with_capacity(len),
                     clock: 0,
                 }),
-                state_v: OptLock::new(),
-                index: AtomicIndex::with_capacity(len),
                 hits: Counter::new(),
                 misses: Counter::new(),
             });
@@ -342,14 +329,14 @@ impl BufferPool {
                     guard,
                 });
             }
+            // A mismatch means the frame is mid-remap: the faulting
+            // thread published its reservation, then dropped the latch
+            // to re-take the shard lock and swap the mapping; or it
+            // abandoned the fault. Yield so that thread can finish: on
+            // a busy core it can stay descheduled for longer than
+            // spinning through the retry budget takes.
             drop(guard);
             self.unpin(idx);
-            // A mismatch means another thread's fault or eviction of
-            // this frame is still in flight. The optimistic pin path
-            // takes no lock, so this loop would otherwise spin a whole
-            // scheduler quantum on a single core without ever letting
-            // that thread finish the remap; yield instead of burning
-            // the retry budget.
             std::thread::yield_now();
         }
         Err(StorageError::Corrupt("page pin retry limit exceeded"))
@@ -368,9 +355,9 @@ impl BufferPool {
                     guard,
                 });
             }
+            // See `fetch`: let the remap or abandoned fault finish.
             drop(guard);
             self.unpin(idx);
-            // See `fetch`: give the in-flight fault a chance to finish.
             std::thread::yield_now();
         }
         Err(StorageError::Corrupt("page pin retry limit exceeded"))
@@ -394,9 +381,9 @@ impl BufferPool {
                     guard,
                 });
             }
+            // See `fetch`: let the remap or abandoned fault finish.
             drop(guard);
             self.unpin(idx);
-            // See `fetch`: give the in-flight fault a chance to finish.
             std::thread::yield_now();
         }
         Err(StorageError::Corrupt("page pin retry limit exceeded"))
@@ -443,6 +430,17 @@ impl BufferPool {
     /// pinned or latched. Bumps the pool [`epoch`](BufferPool::epoch) so
     /// decoded-chunk caches go cold too.
     pub fn clear(&self) -> Result<()> {
+        // A pin seen now refuses the clear before it takes the shard
+        // locks, which every fetch needs: a caller retrying clear in a
+        // loop would otherwise hold fetches off for as long as its
+        // attempts keep failing.
+        if self
+            .frames
+            .iter()
+            .any(|f| f.pin.load(Ordering::Acquire) != 0)
+        {
+            return Err(StorageError::PoolExhausted);
+        }
         let mut guards: Vec<_> = self.shards.iter().map(|shard| shard.state.lock()).collect();
         // All or nothing: refusing after some frames were wiped would
         // leave their page-table entries pointing at empty frames. So
@@ -467,10 +465,8 @@ impl BufferPool {
             fd.dirty = false;
             frame.referenced.store(false, Ordering::Release);
         }
-        for (shard, state) in self.shards.iter().zip(guards.iter_mut()) {
-            let _v = shard.state_v.lock_exclusive();
+        for state in guards.iter_mut() {
             state.table.clear();
-            shard.index.clear();
             state.clock = 0;
         }
         self.epoch.fetch_add(1, Ordering::AcqRel);
@@ -514,120 +510,26 @@ impl BufferPool {
         Ok(())
     }
 
-    /// Inserts `pid → idx` into the shard's page table and its
-    /// lock-free mirror, under an exclusive hold of the version word so
-    /// concurrent optimistic probes restart instead of trusting a
-    /// half-applied update. If the mirror is too full (tombstone
-    /// build-up), it is rebuilt from the authoritative table.
-    fn table_insert(&self, shard: &Shard, state: &mut ShardState, pid: PageId, idx: usize) {
-        let _v = shard.state_v.lock_exclusive();
-        state.table.insert(pid, idx);
-        if !shard.index.insert(pid.0, idx as u64) {
-            shard.index.clear();
-            for (&p, &i) in state.table.iter() {
-                let _ = shard.index.insert(p.0, i as u64);
-            }
-        }
-    }
-
-    /// Removes `pid` from the shard's page table and its mirror, under
-    /// an exclusive hold of the version word.
-    fn table_remove(&self, shard: &Shard, state: &mut ShardState, pid: PageId) {
-        let _v = shard.state_v.lock_exclusive();
-        if let Some(idx) = state.table.remove(&pid) {
-            shard.index.remove(pid.0, idx as u64);
-        }
-    }
-
     /// Removes the reservation `pid → idx` if it is still in place —
     /// the cleanup for an abandoned fault.
     fn drop_reservation(&self, shard: &Shard, pid: PageId, idx: usize) {
         let mut state = shard.state.lock();
         if state.table.get(&pid) == Some(&idx) {
-            self.table_remove(shard, &mut state, pid);
+            state.table.remove(&pid);
         }
     }
 
     /// Pins the frame holding `pid`, faulting it in if necessary.
     /// When `fresh` is true the page is installed zeroed with no read.
     ///
-    /// Hits are resolved optimistically first — a version-validated
-    /// probe of the lock-free table mirror that never touches the shard
-    /// mutex ([`BufferPool::pin_opt`]); a validated miss or a
-    /// conflict-escalation falls back to [`BufferPool::pin_locked`],
-    /// the pre-existing mutex protocol, unchanged.
-    fn pin_frame(&self, pid: PageId, fresh: bool) -> Result<usize> {
-        self.stats.logical_reads.inc();
-        let shard = self.shard_for(pid)?;
-        if let Some(idx) = self.pin_opt(shard, pid) {
-            return Ok(idx);
-        }
-        self.pin_locked(shard, pid, fresh)
-    }
-
-    /// One optimistic page-table lookup: probe the mirror, pin, then
-    /// validate the shard's version word. Returns the pinned frame
-    /// index on a validated hit; `None` (with the transient pin
-    /// withdrawn) on a validated miss or after [`MAX_RESTARTS`]
-    /// conflicts, sending the caller to the mutex path.
-    fn pin_opt(&self, shard: &Shard, pid: PageId) -> Option<usize> {
-        let mut restarts = 0u32;
-        loop {
-            let Some(guard) = shard.state_v.begin_optimistic() else {
-                if restarts >= MAX_RESTARTS {
-                    self.stats.opt_pool(u64::from(restarts), true);
-                    return None;
-                }
-                restarts += 1;
-                std::hint::spin_loop();
-                continue;
-            };
-            match shard.index.probe(pid.0) {
-                None => {
-                    if guard.validate() {
-                        // Validated absence: a real miss — fault in
-                        // under the shard mutex.
-                        self.stats.opt_pool(u64::from(restarts), false);
-                        return None;
-                    }
-                }
-                Some(idx) => {
-                    let idx = idx as usize;
-                    let Some(frame) = self.frames.get(idx) else {
-                        self.stats.opt_pool(u64::from(restarts), true);
-                        return None;
-                    };
-                    // Pin first, validate second: a validated version
-                    // proves the mapping was intact when the pin
-                    // landed, and the caller's latch + page-id
-                    // re-check handles any later remap exactly as on
-                    // the mutex path.
-                    frame.pin.fetch_add(1, Ordering::AcqRel);
-                    if guard.validate() {
-                        frame.referenced.store(true, Ordering::Release);
-                        shard.hits.inc();
-                        self.stats.opt_pool(u64::from(restarts), false);
-                        return Some(idx);
-                    }
-                    frame.pin.fetch_sub(1, Ordering::AcqRel);
-                }
-            }
-            if restarts >= MAX_RESTARTS {
-                self.stats.opt_pool(u64::from(restarts), true);
-                return None;
-            }
-            restarts += 1;
-        }
-    }
-
-    /// The mutex pin path: shard-table hit or full fault-in.
-    ///
     /// On a miss, all I/O (victim write-back, fault-in read) runs with
     /// only the claimed frame's latch held — the shard lock is taken in
     /// short critical sections before and after, so hits on other pages
     /// proceed concurrently. Callers must latch the returned frame and
     /// re-check its page id (see [`BufferPool::fetch`]).
-    fn pin_locked(&self, shard: &Shard, pid: PageId, fresh: bool) -> Result<usize> {
+    fn pin_frame(&self, pid: PageId, fresh: bool) -> Result<usize> {
+        self.stats.logical_reads.inc();
+        let shard = self.shard_for(pid)?;
         let mut state = shard.state.lock();
         if let Some(&idx) = state.table.get(&pid) {
             shard.hits.inc();
@@ -650,7 +552,7 @@ impl BufferPool {
         // Reserve the mapping so concurrent fetchers of `pid` pin this
         // frame and wait on its latch instead of faulting a second
         // copy; they re-check the page id once the latch is theirs.
-        self.table_insert(shard, &mut state, pid, idx);
+        state.table.insert(pid, idx);
         drop(state);
 
         if let Some(old) = old_pid {
@@ -683,7 +585,7 @@ impl BufferPool {
                     // Unreachable while the pin protocol holds (a
                     // pinned frame is never remapped), but fail safe.
                     if state.table.get(&pid) == Some(&idx) {
-                        self.table_remove(shard, &mut state, pid);
+                        state.table.remove(&pid);
                     }
                     drop(state);
                     drop(fd);
@@ -693,7 +595,7 @@ impl BufferPool {
                 if fd.dirty {
                     continue;
                 }
-                self.table_remove(shard, &mut state, old);
+                state.table.remove(&old);
                 self.stats.evictions.inc();
                 break;
             }
@@ -1066,43 +968,6 @@ mod tests {
         for h in handles {
             h.join().unwrap();
         }
-    }
-
-    #[test]
-    fn optimistic_hits_bypass_the_shard_mutex() {
-        let p = pool(4);
-        let pid = p.allocate_pages(1).unwrap();
-        drop(p.create_page(pid).unwrap());
-        let before = p.stats().snapshot();
-        // Hold the shard mutex across the fetches: hits must still
-        // complete (the success path never touches it) — if a fetch
-        // tried to lock it from this thread it would deadlock.
-        let shard = p.shard_for(pid).unwrap();
-        let state = shard.state.lock();
-        for _ in 0..5 {
-            let page = p.fetch(pid).unwrap();
-            assert_eq!(page.len(), PAGE_SIZE);
-        }
-        drop(state);
-        let delta = p.stats().snapshot().since(&before);
-        assert_eq!(delta.opt_pool_reads, 5);
-        assert_eq!(delta.opt_pool_escalations, 0);
-        assert_eq!(delta.physical_reads, 0, "hits stay in memory");
-    }
-
-    #[test]
-    fn optimistic_probe_misses_fall_back_to_the_fault_path() {
-        let p = pool(4);
-        let pid = p.allocate_pages(1).unwrap();
-        let before = p.stats().snapshot();
-        drop(p.create_page(pid).unwrap()); // cold: validated miss → fault
-        drop(p.fetch(pid).unwrap()); // warm: optimistic hit
-        let delta = p.stats().snapshot().since(&before);
-        assert_eq!(delta.opt_pool_reads, 2);
-        assert_eq!(delta.opt_pool_escalations, 0);
-        let stats = p.shard_stats();
-        assert_eq!(stats.iter().map(|s| s.hits).sum::<u64>(), 1);
-        assert_eq!(stats.iter().map(|s| s.misses).sum::<u64>(), 1);
     }
 
     #[test]

@@ -18,7 +18,6 @@
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use crate::counters::Counter;
 use crate::page::PAGE_SIZE;
 
 crate::counter_set! {
@@ -89,34 +88,34 @@ crate::counter_set! {
         /// shrinking update → recompute on next lookup).
         result_cache_fallbacks: sum "recompute fallbacks",
     }
+    // Nothing writes the twelve `olc` rows: no structure has an
+    // optimistic read path any more. They stay, always zero, because
+    // the STATS wire layout and the benchmark's trace both read them;
+    // removing them is a protocol change.
     "olc pool" {
-        /// Optimistic buffer-pool page-table reads attempted.
+        /// Unused: always zero (see above).
         opt_pool_reads: sum "reads",
-        /// Restarts burned by optimistic pool reads (validation conflicts).
+        /// Unused: always zero (see above).
         opt_pool_restarts: sum "restarts",
-        /// Optimistic pool reads that gave up and took the shard mutex.
+        /// Unused: always zero (see above).
         opt_pool_escalations: sum "escalations",
     }
     "olc chunks" {
-        /// Optimistic decoded-chunk cache reads attempted.
+        /// Unused: always zero (see above).
         opt_chunk_reads: sum "reads",
-        /// Restarts burned by optimistic chunk-cache reads.
+        /// Unused: always zero (see above).
         opt_chunk_restarts: sum "restarts",
-        /// Optimistic chunk-cache reads that escalated to the shard mutex.
+        /// Unused: always zero (see above).
         opt_chunk_escalations: sum "escalations",
     }
     "olc results" {
-        /// Optimistic result-cube cache reads attempted.
+        /// Unused: always zero (see above).
         opt_result_reads: sum "reads",
-        /// Restarts burned by optimistic result-cache reads.
+        /// Unused: always zero (see above).
         opt_result_restarts: sum "restarts",
-        /// Optimistic result-cache reads that escalated to the shard mutex.
+        /// Unused: always zero (see above).
         opt_result_escalations: sum "escalations",
     }
-    // Nothing writes the three `olc btree` rows: the B-tree has no
-    // optimistic read path. They stay, always zero, because the STATS
-    // wire layout and the benchmark's trace both read them; removing
-    // them is a protocol change.
     "olc btree" {
         /// Unused: always zero (see above).
         opt_btree_reads: sum "reads",
@@ -160,62 +159,6 @@ impl IoStats {
             .swap(first.wrapping_add(n - 1), Ordering::Relaxed);
         let follows = u64::from(first == last.wrapping_add(1));
         self.seq_physical_reads.add(n - 1 + follows);
-    }
-
-    /// Records one optimistic buffer-pool page-table read: the restart
-    /// count it burned, and whether it gave up and escalated to the
-    /// shard mutex.
-    #[inline]
-    pub fn opt_pool(&self, restarts: u64, escalated: bool) {
-        opt_read(
-            [
-                &self.opt_pool_reads,
-                &self.opt_pool_restarts,
-                &self.opt_pool_escalations,
-            ],
-            restarts,
-            escalated,
-        );
-    }
-
-    /// Records one optimistic decoded-chunk cache read (see
-    /// [`IoStats::opt_pool`] for the argument convention).
-    #[inline]
-    pub fn opt_chunk(&self, restarts: u64, escalated: bool) {
-        opt_read(
-            [
-                &self.opt_chunk_reads,
-                &self.opt_chunk_restarts,
-                &self.opt_chunk_escalations,
-            ],
-            restarts,
-            escalated,
-        );
-    }
-
-    /// Records one optimistic result-cube cache read (see
-    /// [`IoStats::opt_pool`] for the argument convention).
-    #[inline]
-    pub fn opt_result(&self, restarts: u64, escalated: bool) {
-        opt_read(
-            [
-                &self.opt_result_reads,
-                &self.opt_result_restarts,
-                &self.opt_result_escalations,
-            ],
-            restarts,
-            escalated,
-        );
-    }
-}
-
-/// Bumps one optimistic-read triple: reads, restarts, escalations.
-#[inline]
-fn opt_read([reads, restarts, escalations]: [&Counter; 3], n: u64, escalated: bool) {
-    reads.inc();
-    restarts.add(n);
-    if escalated {
-        escalations.inc();
     }
 }
 
@@ -391,40 +334,6 @@ mod tests {
         assert_eq!(delta.prefetch_queue_peak, 3);
         // A later snapshot "before" an earlier one saturates at zero.
         assert_eq!(before.since(&s.snapshot()).logical_reads, 0);
-    }
-
-    #[test]
-    fn optimistic_reads_record_their_triple() {
-        let s = IoStats::new();
-        s.opt_pool(2, false);
-        s.opt_pool(3, true);
-        s.opt_chunk(0, false);
-        s.opt_result(1, true);
-        let snap = s.snapshot();
-        assert_eq!(
-            (
-                snap.opt_pool_reads,
-                snap.opt_pool_restarts,
-                snap.opt_pool_escalations
-            ),
-            (2, 5, 1)
-        );
-        assert_eq!(
-            (
-                snap.opt_chunk_reads,
-                snap.opt_chunk_restarts,
-                snap.opt_chunk_escalations
-            ),
-            (1, 0, 0)
-        );
-        assert_eq!(
-            (
-                snap.opt_result_reads,
-                snap.opt_result_restarts,
-                snap.opt_result_escalations
-            ),
-            (1, 1, 1)
-        );
     }
 
     #[test]

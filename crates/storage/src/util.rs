@@ -16,7 +16,7 @@ const FIB: u64 = 0x9E37_79B9_7F4A_7C15;
 /// spreads consecutive keys (page ids, hash codes) across shards far
 /// better than a plain mask would. This is the one shard-selection
 /// function shared by the buffer pool, the decoded-chunk cache, the
-/// result-cube cache, and the optimistic-lock bucket index.
+/// result-cube cache, and the version table's pin stripes.
 ///
 /// Callers with composite keys pre-mix the extra components in (e.g.
 /// `start_page.wrapping_add(byte_off)`); re-hashing an already-hashed
