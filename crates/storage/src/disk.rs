@@ -37,12 +37,10 @@ pub trait DiskManager: Send + Sync {
     /// disks override this with a single positioned read.
     fn read_pages(&self, first: PageId, out: &mut [u8]) -> Result<()> {
         if !out.len().is_multiple_of(PAGE_SIZE) {
-            return Err(StorageError::Corrupt("read_pages length not page-aligned"));
+            return Err(misaligned_read());
         }
         for (i, chunk) in out.chunks_exact_mut(PAGE_SIZE).enumerate() {
-            let buf: &mut PageBuf = chunk
-                .try_into()
-                .map_err(|_| StorageError::Corrupt("read_pages chunking failed"))?;
+            let buf: &mut PageBuf = chunk.try_into().map_err(|_| misaligned_read())?;
             self.read_page(first.offset(i as u64), buf)?;
         }
         Ok(())
@@ -61,6 +59,15 @@ pub trait DiskManager: Send + Sync {
 
     /// Flushes any buffered writes to durable storage.
     fn sync(&self) -> Result<()>;
+}
+
+/// A `read_pages` buffer that is not a whole number of pages: caller
+/// misuse, not corruption.
+fn misaligned_read() -> StorageError {
+    StorageError::Io(std::io::Error::new(
+        std::io::ErrorKind::InvalidInput,
+        "read_pages length not page-aligned",
+    ))
 }
 
 fn check_bounds(pid: PageId, num_pages: u64) -> Result<()> {
@@ -124,7 +131,7 @@ impl DiskManager for FileDisk {
 
     fn read_pages(&self, first: PageId, out: &mut [u8]) -> Result<()> {
         if !out.len().is_multiple_of(PAGE_SIZE) {
-            return Err(StorageError::Corrupt("read_pages length not page-aligned"));
+            return Err(misaligned_read());
         }
         let n = (out.len() / PAGE_SIZE) as u64;
         if n == 0 {
@@ -195,7 +202,7 @@ impl DiskManager for MemDisk {
 
     fn read_pages(&self, first: PageId, out: &mut [u8]) -> Result<()> {
         if !out.len().is_multiple_of(PAGE_SIZE) {
-            return Err(StorageError::Corrupt("read_pages length not page-aligned"));
+            return Err(misaligned_read());
         }
         let pages = self.pages.read();
         for (i, chunk) in out.chunks_exact_mut(PAGE_SIZE).enumerate() {
@@ -312,8 +319,12 @@ mod tests {
             assert_eq!(out[i * PAGE_SIZE], i as u8 + 2, "page {i}");
             assert_eq!(out[(i + 1) * PAGE_SIZE - 1], i as u8 + 2);
         }
-        // Misaligned length and out-of-bounds spans are rejected.
-        assert!(disk.read_pages(start, &mut out[..PAGE_SIZE + 1]).is_err());
+        // Misaligned length and out-of-bounds spans are rejected; a
+        // misaligned buffer is caller misuse, not corruption.
+        assert!(matches!(
+            disk.read_pages(start, &mut out[..PAGE_SIZE + 1]),
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput
+        ));
         let mut big = vec![0u8; 2 * PAGE_SIZE];
         assert!(disk.read_pages(start.offset(3), &mut big).is_err());
     }

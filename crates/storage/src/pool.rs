@@ -19,17 +19,18 @@
 //! shards never touch the same mutex. Tiny pools (the tests use 2-frame
 //! pools) collapse to a single shard.
 //!
-//! Faults do their I/O *outside* the shard mutex. The miss path claims a
-//! victim under the shard lock (pin + frame write latch + a table
-//! *reservation* mapping the new page to the frame), releases the shard
-//! lock, and only then performs victim write-back and fault-in reads
-//! under the frame latch alone — so one slow miss never stalls hits on
-//! other pages. The failure discipline is unchanged: the victim's table
-//! entry is only removed after its dirty contents are safely on disk,
-//! and the frame only advertises the new page after the read completes.
-//! Concurrent fetchers of either page find a table entry, pin, block on
-//! the frame latch, and re-check the frame's page id once the latch is
-//! theirs — retrying from the table if the fault was abandoned.
+//! Faults do their I/O *outside* the shard mutex, under the claimed
+//! frame's latch alone, so one slow miss never stalls hits on other
+//! pages. One invariant makes that safe: a frame reached through the
+//! page table under `pid` holds `pid` once its latch is free, unless
+//! the fault that reserved it failed its read. A dirty victim is
+//! written back before it can be claimed, pinned and latched with its
+//! old mapping still live; a clean victim is remapped (old entry out,
+//! new entry in, frame page id set) in one critical section under the
+//! shard lock and the frame latch. Concurrent fetchers of either page
+//! find a table entry, pin, and wait on the frame latch; one that finds
+//! the frame emptied by a failed read pins again and faults the page
+//! itself.
 
 use std::any::Any;
 use std::collections::HashMap;
@@ -57,12 +58,6 @@ const MAX_SHARDS: usize = 64;
 /// Number of type-erased extension slots on the pool (one per attached
 /// extension type: decoded-chunk cache, result-cube cache, spares).
 pub const NUM_EXT_SLOTS: usize = 4;
-
-/// Bound on "pin, latch, re-check, retry" rounds in [`BufferPool::fetch`]
-/// and friends. Every retry means another thread finished or abandoned a
-/// fault on the frame in between, so hitting the bound indicates pool
-/// corruption rather than contention.
-const PIN_RETRY_LIMIT: usize = 10_000;
 
 struct FrameData {
     pid: Option<PageId>,
@@ -315,52 +310,23 @@ impl BufferPool {
 
     /// Fetches page `pid` for reading.
     pub fn fetch(&self, pid: PageId) -> Result<PageRef<'_>> {
-        // A mapped frame can still be mid-fault (its I/O runs outside
-        // the shard lock); the latch acquisition waits the fault out,
-        // and the page-id re-check retries if the fault was abandoned
-        // or the mapping was a now-evicted victim's.
-        for _ in 0..PIN_RETRY_LIMIT {
-            let idx = self.pin_frame(pid, false)?;
-            let guard = self.frame(idx)?.data.read();
-            if guard.pid == Some(pid) {
-                return Ok(PageRef {
-                    pool: self,
-                    idx,
-                    guard,
-                });
-            }
-            // A mismatch means the frame is mid-remap: the faulting
-            // thread published its reservation, then dropped the latch
-            // to re-take the shard lock and swap the mapping; or it
-            // abandoned the fault. Yield so that thread can finish: on
-            // a busy core it can stay descheduled for longer than
-            // spinning through the retry budget takes.
-            drop(guard);
-            self.unpin(idx);
-            std::thread::yield_now();
-        }
-        Err(StorageError::Corrupt("page pin retry limit exceeded"))
+        let (idx, guard) = self.pin_latched(pid, false, |data| data.read())?;
+        Ok(PageRef {
+            pool: self,
+            idx,
+            guard,
+        })
     }
 
     /// Fetches page `pid` for writing; the frame is marked dirty.
     pub fn fetch_mut(&self, pid: PageId) -> Result<PageMut<'_>> {
-        for _ in 0..PIN_RETRY_LIMIT {
-            let idx = self.pin_frame(pid, false)?;
-            let mut guard = self.frame(idx)?.data.write();
-            if guard.pid == Some(pid) {
-                guard.dirty = true;
-                return Ok(PageMut {
-                    pool: self,
-                    idx,
-                    guard,
-                });
-            }
-            // See `fetch`: let the remap or abandoned fault finish.
-            drop(guard);
-            self.unpin(idx);
-            std::thread::yield_now();
-        }
-        Err(StorageError::Corrupt("page pin retry limit exceeded"))
+        let (idx, mut guard) = self.pin_latched(pid, false, |data| data.write())?;
+        guard.dirty = true;
+        Ok(PageMut {
+            pool: self,
+            idx,
+            guard,
+        })
     }
 
     /// Installs freshly allocated page `pid` with zeroed contents,
@@ -369,24 +335,42 @@ impl BufferPool {
     /// Only call this for pages that have never been written; otherwise
     /// the old contents are silently discarded.
     pub fn create_page(&self, pid: PageId) -> Result<PageMut<'_>> {
-        for _ in 0..PIN_RETRY_LIMIT {
-            let idx = self.pin_frame(pid, true)?;
-            let mut guard = self.frame(idx)?.data.write();
+        let (idx, mut guard) = self.pin_latched(pid, true, |data| data.write())?;
+        guard.buf.fill(0);
+        guard.dirty = true;
+        Ok(PageMut {
+            pool: self,
+            idx,
+            guard,
+        })
+    }
+
+    /// The pin-and-latch step shared by [`BufferPool::fetch`],
+    /// [`BufferPool::fetch_mut`] and [`BufferPool::create_page`]: pins
+    /// the frame holding `pid` (faulting it in on a miss) and takes its
+    /// latch with `latch`. The latch waits out any fault in flight on
+    /// the frame; if that fault failed its read, the frame is empty and
+    /// the pin runs again, so this caller faults the page itself and
+    /// returns whatever that fault returns.
+    fn pin_latched<'a, G>(
+        &'a self,
+        pid: PageId,
+        fresh: bool,
+        latch: impl Fn(&'a RwLock<FrameData>) -> G,
+    ) -> Result<(usize, G)>
+    where
+        G: Deref<Target = FrameData>,
+    {
+        self.stats.logical_reads.inc();
+        loop {
+            let idx = self.pin_frame(pid, fresh)?;
+            let guard = latch(&self.frame(idx)?.data);
             if guard.pid == Some(pid) {
-                guard.buf.fill(0);
-                guard.dirty = true;
-                return Ok(PageMut {
-                    pool: self,
-                    idx,
-                    guard,
-                });
+                return Ok((idx, guard));
             }
-            // See `fetch`: let the remap or abandoned fault finish.
             drop(guard);
             self.unpin(idx);
-            std::thread::yield_now();
         }
-        Err(StorageError::Corrupt("page pin retry limit exceeded"))
     }
 
     /// Writes all dirty frames back to disk (does not evict). With a
@@ -502,7 +486,10 @@ impl BufferPool {
     /// same object degrades to the slow path rather than an error.
     pub fn read_span_bypass(&self, first: PageId, n: u64, out: &mut [u8]) -> Result<()> {
         if out.len() != (n as usize).saturating_mul(PAGE_SIZE) {
-            return Err(StorageError::Corrupt("bypass span buffer size mismatch"));
+            return Err(StorageError::Io(std::io::Error::new(
+                std::io::ErrorKind::InvalidInput,
+                "bypass span buffer size mismatch",
+            )));
         }
         self.stats.logical_reads.add(n);
         self.disk.read_pages(first, out)?;
@@ -511,7 +498,7 @@ impl BufferPool {
     }
 
     /// Removes the reservation `pid → idx` if it is still in place —
-    /// the cleanup for an abandoned fault.
+    /// the cleanup for a fault whose read failed.
     fn drop_reservation(&self, shard: &Shard, pid: PageId, idx: usize) {
         let mut state = shard.state.lock();
         if state.table.get(&pid) == Some(&idx) {
@@ -522,103 +509,74 @@ impl BufferPool {
     /// Pins the frame holding `pid`, faulting it in if necessary.
     /// When `fresh` is true the page is installed zeroed with no read.
     ///
-    /// On a miss, all I/O (victim write-back, fault-in read) runs with
-    /// only the claimed frame's latch held — the shard lock is taken in
-    /// short critical sections before and after, so hits on other pages
-    /// proceed concurrently. Callers must latch the returned frame and
-    /// re-check its page id (see [`BufferPool::fetch`]).
+    /// A miss claims an unpinned victim under the shard lock and takes
+    /// its latch. A dirty victim is written back under its latch alone,
+    /// its old mapping still live so readers of the old page keep
+    /// hitting it, and the sweep runs again. A clean victim is remapped
+    /// before the shard lock is released; the read then runs under the
+    /// frame latch only, so hits on other pages proceed.
     fn pin_frame(&self, pid: PageId, fresh: bool) -> Result<usize> {
-        self.stats.logical_reads.inc();
         let shard = self.shard_for(pid)?;
-        let mut state = shard.state.lock();
-        if let Some(&idx) = state.table.get(&pid) {
-            shard.hits.inc();
+        loop {
+            let mut state = shard.state.lock();
+            if let Some(&idx) = state.table.get(&pid) {
+                shard.hits.inc();
+                let frame = self.frame(idx)?;
+                frame.pin.fetch_add(1, Ordering::AcqRel);
+                frame.referenced.store(true, Ordering::Release);
+                return Ok(idx);
+            }
+
+            let idx = self.find_victim(shard, &mut state)?;
             let frame = self.frame(idx)?;
+            // The pin keeps other faulters off the frame; the latch keeps
+            // its readers out until the remap or write-back is done.
             frame.pin.fetch_add(1, Ordering::AcqRel);
-            frame.referenced.store(true, Ordering::Release);
-            return Ok(idx);
-        }
-        shard.misses.inc();
+            let mut fd = frame.data.write();
 
-        let idx = self.find_victim(shard, &mut state)?;
-        let frame = self.frame(idx)?;
-        // Claim the frame before releasing the shard lock: the pin
-        // keeps other faulters off it, the write latch keeps readers of
-        // the old page out until the remap completes or is abandoned.
-        frame.pin.fetch_add(1, Ordering::AcqRel);
-        frame.referenced.store(true, Ordering::Release);
-        let mut fd = frame.data.write();
-        let old_pid = fd.pid;
-        // Reserve the mapping so concurrent fetchers of `pid` pin this
-        // frame and wait on its latch instead of faulting a second
-        // copy; they re-check the page id once the latch is theirs.
-        state.table.insert(pid, idx);
-        drop(state);
-
-        if let Some(old) = old_pid {
-            // Failure discipline: the victim's table entry is only
-            // removed after its dirty contents are safely on disk —
-            // concurrent readers of `old` keep hitting this (clean)
-            // frame rather than faulting a stale copy from disk.
-            loop {
-                if fd.dirty {
-                    // lint:allow(lock-io): victim write-back must happen under the frame latch so readers of the old page see flushed bytes, never a torn frame
-                    if let Err(e) = self.write_back(old, &fd.buf, true) {
-                        // The dirty page stays cached and reachable;
-                        // only the reservation is withdrawn.
-                        drop(fd);
-                        self.drop_reservation(shard, pid, idx);
-                        frame.pin.fetch_sub(1, Ordering::AcqRel);
-                        return Err(e);
-                    }
+            if let (true, Some(old)) = (fd.dirty, fd.pid) {
+                // Sweep from this frame again once it is clean, so it is
+                // still the one evicted unless it was used meanwhile.
+                state.clock = idx - shard.base;
+                drop(state);
+                // lint:allow(lock-io): victim write-back must happen under the frame latch so readers of the old page see flushed bytes, never a torn frame
+                let written = self.write_back(old, &fd.buf, true);
+                if written.is_ok() {
                     fd.dirty = false;
                 }
-                // Swap the mapping under the shard lock. The frame
-                // latch must be re-taken *after* it (shard state ranks
-                // before frame latches), which opens a window where a
-                // writer can re-dirty the old page through its still
-                // live mapping — hence the re-check and re-flush loop.
                 drop(fd);
-                let mut state = shard.state.lock();
-                fd = frame.data.write();
-                if fd.pid != Some(old) {
-                    // Unreachable while the pin protocol holds (a
-                    // pinned frame is never remapped), but fail safe.
-                    if state.table.get(&pid) == Some(&idx) {
-                        state.table.remove(&pid);
-                    }
-                    drop(state);
-                    drop(fd);
-                    frame.pin.fetch_sub(1, Ordering::AcqRel);
-                    return Err(StorageError::Corrupt("victim frame remapped while pinned"));
-                }
-                if fd.dirty {
-                    continue;
-                }
+                frame.pin.fetch_sub(1, Ordering::AcqRel);
+                written?;
+                continue;
+            }
+
+            shard.misses.inc();
+            if let Some(old) = fd.pid {
                 state.table.remove(&old);
                 self.stats.evictions.inc();
-                break;
             }
-        }
+            state.table.insert(pid, idx);
+            frame.referenced.store(true, Ordering::Release);
+            fd.pid = Some(pid);
+            drop(state);
 
-        if fresh {
-            fd.buf.fill(0);
-        // lint:allow(lock-io): faulting the page in under its freshly claimed frame latch is the pool's remap protocol
-        } else if let Err(e) = self.disk.read_page(pid, &mut fd.buf) {
-            // The old contents were cleanly persisted above; the frame
-            // is now simply empty.
-            fd.pid = None;
-            fd.dirty = false;
-            drop(fd);
-            self.drop_reservation(shard, pid, idx);
-            frame.pin.fetch_sub(1, Ordering::AcqRel);
-            return Err(e);
-        } else {
+            if fresh {
+                fd.buf.fill(0);
+                return Ok(idx);
+            }
+            // lint:allow(lock-io): faulting the page in under its freshly claimed frame latch is the pool's remap protocol
+            if let Err(e) = self.disk.read_page(pid, &mut fd.buf) {
+                // Waiters find the frame empty and fault the page
+                // themselves once the reservation is withdrawn.
+                fd.pid = None;
+                drop(fd);
+                self.drop_reservation(shard, pid, idx);
+                frame.pin.fetch_sub(1, Ordering::AcqRel);
+                return Err(e);
+            }
             self.stats.physical_read_span(pid.0, 1);
+            return Ok(idx);
         }
-        fd.pid = Some(pid);
-        fd.dirty = false;
-        Ok(idx)
     }
 
     /// Second-chance clock sweep over the shard's frame range; at most
@@ -907,7 +865,10 @@ mod tests {
         assert!(p.span_absent(base, 3).unwrap());
         // A mis-sized buffer is rejected before touching the disk.
         let mut short = vec![0u8; PAGE_SIZE];
-        assert!(p.read_span_bypass(base, 3, &mut short).is_err());
+        assert!(matches!(
+            p.read_span_bypass(base, 3, &mut short),
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::InvalidInput
+        ));
     }
 
     #[test]

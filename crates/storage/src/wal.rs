@@ -175,7 +175,10 @@ impl std::fmt::Debug for Wal {
 pub fn validate_wal_path<P: AsRef<Path>>(path: P) -> Result<()> {
     match path.as_ref().parent() {
         Some(dir) if dir.as_os_str().is_empty() || dir.exists() => Ok(()),
-        Some(_) => Err(StorageError::Corrupt("wal parent directory missing")),
+        Some(_) => Err(StorageError::Io(std::io::Error::new(
+            std::io::ErrorKind::NotFound,
+            "wal parent directory missing",
+        ))),
         None => Ok(()),
     }
 }
@@ -302,7 +305,10 @@ mod tests {
 
     #[test]
     fn wal_path_validation() {
-        assert!(validate_wal_path("/nonexistent-dir-xyz/wal.log").is_err());
+        assert!(matches!(
+            validate_wal_path("/nonexistent-dir-xyz/wal.log"),
+            Err(StorageError::Io(e)) if e.kind() == std::io::ErrorKind::NotFound
+        ));
         assert!(validate_wal_path(temp_wal("ok")).is_ok());
         assert!(validate_wal_path("bare-file.log").is_ok());
     }

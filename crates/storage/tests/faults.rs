@@ -4,17 +4,19 @@
 //! the paper inherits recovery from SHORE).
 
 use std::sync::atomic::{AtomicI64, Ordering};
-use std::sync::Arc;
+use std::sync::{mpsc, Arc, Barrier};
+use std::time::Duration;
 
 use molap_storage::{
     BufferPool, DiskManager, LobStore, MemDisk, PageBuf, PageId, Result, StorageError,
 };
 
 /// Wraps a disk and fails reads/writes while `fail_after` is <= 0;
-/// each I/O decrements the countdown.
+/// each I/O decrements the countdown. Reads take `read_delay` first.
 struct FaultyDisk {
     inner: MemDisk,
     countdown: AtomicI64,
+    read_delay: Duration,
 }
 
 impl FaultyDisk {
@@ -22,6 +24,7 @@ impl FaultyDisk {
         FaultyDisk {
             inner: MemDisk::new(),
             countdown: AtomicI64::new(ok_ops),
+            read_delay: Duration::ZERO,
         }
     }
 
@@ -44,6 +47,7 @@ impl FaultyDisk {
 
 impl DiskManager for FaultyDisk {
     fn read_page(&self, pid: PageId, buf: &mut PageBuf) -> Result<()> {
+        std::thread::sleep(self.read_delay);
         self.check()?;
         self.inner.read_page(pid, buf)
     }
@@ -88,6 +92,69 @@ fn read_faults_surface_as_errors_and_clear() {
     disk.heal();
     let page = pool.fetch(pid).unwrap();
     assert_eq!(page[0], 42);
+}
+
+#[test]
+fn failed_fault_fails_every_waiter_and_leaves_no_reservation() {
+    // Several threads fetch one uncached page while the disk fails. The
+    // fault's read is slow, so the others pin its reserved frame and
+    // wait on the latch; when the read fails they find the frame empty,
+    // fault the page themselves and get the same I/O error.
+    const THREADS: usize = 4;
+    let disk = Arc::new(FaultyDisk {
+        read_delay: Duration::from_millis(20),
+        ..FaultyDisk::new(i64::MAX)
+    });
+    let pool = Arc::new(BufferPool::new(disk.clone(), 4));
+    let pid = pool.allocate_pages(1).unwrap();
+    pool.create_page(pid).unwrap()[0] = 42;
+    pool.clear().unwrap();
+
+    disk.trip();
+    let start = Arc::new(Barrier::new(THREADS));
+    let (tx, rx) = mpsc::channel();
+    let fetchers: Vec<_> = (0..THREADS)
+        .map(|t| {
+            let (pool, start, tx) = (pool.clone(), start.clone(), tx.clone());
+            std::thread::spawn(move || {
+                start.wait();
+                let outcome = pool.fetch(pid).map(|page| page[0]);
+                tx.send((t, outcome)).unwrap();
+            })
+        })
+        .collect();
+    for _ in 0..THREADS {
+        let (t, outcome) = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a fetch of a failing page hung");
+        match outcome {
+            Err(StorageError::Io(_)) => {}
+            other => panic!("thread {t}: expected an Io error, got {other:?}"),
+        }
+    }
+    for f in fetchers {
+        f.join().unwrap();
+    }
+    assert!(
+        pool.span_absent(pid, 1).unwrap(),
+        "failed faults left a reservation"
+    );
+
+    disk.heal();
+    let readers: Vec<_> = (0..THREADS)
+        .map(|_| {
+            let pool = pool.clone();
+            std::thread::spawn(move || pool.fetch(pid).unwrap()[0])
+        })
+        .collect();
+    for r in readers {
+        assert_eq!(r.join().unwrap(), 42);
+    }
+    pool.clear().unwrap();
+    assert!(
+        pool.span_absent(pid, 1).unwrap(),
+        "no stale reservation after clear"
+    );
 }
 
 #[test]
