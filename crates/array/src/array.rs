@@ -162,13 +162,11 @@ pub struct ChunkedArray {
     format: ChunkFormat,
     lobs: LobStore,
     valid_cells: u64,
-    /// Pool-shared decoded-chunk cache; `None` only if the pool's
-    /// extension slot was claimed by a foreign type.
-    cache: Option<Arc<ChunkCache>>,
+    /// Pool-shared decoded-chunk cache.
+    cache: Arc<ChunkCache>,
     /// Pool-shared chunk version table for snapshot-isolated reads
-    /// racing in-place writes; `None` only if the pool's extension
-    /// slot was claimed by a foreign type.
-    versions: Option<Arc<VersionTable>>,
+    /// racing in-place writes.
+    versions: Arc<VersionTable>,
     /// Persistent array identity ([`next_array_uid`]); with the chunk
     /// number it forms the [`VersionKey`] version pins are keyed by.
     /// Travels through the meta blob so every handle of one array
@@ -228,14 +226,22 @@ impl ChunkedArray {
         self.lobs.pool()
     }
 
-    /// Reads and decodes chunk `chunk_no`.
+    /// Registers a reader at the pool's current commit generation: the
+    /// snapshot every read of this array names (see
+    /// [`VersionTable::begin_snapshot`]).
+    pub fn snapshot(&self) -> ChunkSnapshot {
+        self.versions.begin_snapshot()
+    }
+
+    /// Reads and decodes chunk `chunk_no` under a snapshot of its own,
+    /// at the current generation.
     ///
     /// Decoded chunks are served from (and inserted into) the pool's
     /// shared [`ChunkCache`], so repeated reads of a hot chunk skip both
     /// the buffer pool and the codec. Empty chunks are materialized
     /// fresh and never cached.
     pub fn read_chunk(&self, chunk_no: u64) -> Result<Arc<CompressedChunk>> {
-        self.read_chunk_at(chunk_no, None)
+        self.read_chunk_at(chunk_no, &self.snapshot())
     }
 
     /// The chunk's decoded image when one exists without touching its
@@ -248,23 +254,20 @@ impl ChunkedArray {
     pub fn resident_chunk_at(
         &self,
         chunk_no: u64,
-        snap: Option<&ChunkSnapshot>,
+        snap: &ChunkSnapshot,
     ) -> Result<Option<Arc<CompressedChunk>>> {
         let id = LobId(chunk_no as u32);
         if self.lobs.object_len(id)? == 0 {
             return Ok(Some(Arc::new(CompressedChunk::empty(self.n_measures))));
         }
         let pool = self.lobs.pool();
-        let hit = match self.cache.as_deref() {
-            Some(cache) => cache.get(&self.chunk_key(chunk_no)?, pool.epoch()),
-            None => None,
-        };
+        let hit = self.cache.get(&self.chunk_key(chunk_no)?, pool.epoch());
         // The pin is checked *after* the cache: a commit published
         // since the snapshot may have put its image there (through a
         // later reader), and then its pre-image is pinned for as long
         // as the snapshot lives. Checked first, a commit landing
         // between the two lookups would slip through.
-        if let Some(pinned) = self.resolve_version(self.version_key(chunk_no), snap) {
+        if let Some(pinned) = snap.chunk(self.version_key(chunk_no)) {
             return Ok(Some(pinned));
         }
         if hit.is_some() {
@@ -274,16 +277,15 @@ impl ChunkedArray {
     }
 
     /// [`ChunkedArray::read_chunk`] against a [`ChunkSnapshot`]: chunks
-    /// superseded by a commit newer than the snapshot resolve to their
-    /// pinned pre-image, so a long scan over many chunks observes one
-    /// consistent commit generation. With `None` the read is served at
-    /// the current generation (in-flight unpublished writes are still
-    /// shielded by their provisional pins). The bytes come through the
-    /// buffer pool and are always decoded.
+    /// superseded by a commit newer than the snapshot, or being
+    /// rewritten by an unpublished batch, resolve to their pinned
+    /// pre-image, so a long scan over many chunks observes one
+    /// consistent commit generation. The bytes come through the buffer
+    /// pool and are always decoded.
     pub fn read_chunk_at(
         &self,
         chunk_no: u64,
-        snap: Option<&ChunkSnapshot>,
+        snap: &ChunkSnapshot,
     ) -> Result<Arc<CompressedChunk>> {
         let mut scratch = PrefetchScratch::default();
         self.load_chunk(chunk_no, &mut scratch, snap, false)?
@@ -306,7 +308,7 @@ impl ChunkedArray {
         &self,
         chunk_no: u64,
         scratch: &mut PrefetchScratch,
-        snap: Option<&ChunkSnapshot>,
+        snap: &ChunkSnapshot,
     ) -> Result<ChunkPayload> {
         self.load_chunk(chunk_no, scratch, snap, true)
     }
@@ -345,18 +347,15 @@ impl ChunkedArray {
         &self,
         chunk_no: u64,
         scratch: &mut PrefetchScratch,
-        snap: Option<&ChunkSnapshot>,
+        snap: &ChunkSnapshot,
         bypass: bool,
     ) -> Result<ChunkPayload> {
         let vkey = self.version_key(chunk_no);
-        let pins_taken = || self.versions.as_deref().map(|v| v.pins_taken(vkey));
+        let pins_taken = || self.versions.pins_taken(vkey);
         let pins = pins_taken();
         if let Some(chunk) = self.resident_chunk_at(chunk_no, snap)? {
             return Ok(ChunkPayload::Chunk(chunk));
         }
-        // Without the chunk cache nothing would keep a bypassed read's
-        // result, so the pool has to.
-        let bypass = bypass && self.cache.is_some();
         let id = LobId(chunk_no as u32);
         let epoch = self.lobs.pool().epoch();
         let mut bypassed = if bypass {
@@ -378,7 +377,7 @@ impl ChunkedArray {
             match attempt {
                 Ok(decoded) => break decoded,
                 Err(e) => {
-                    if let Some(pinned) = self.resolve_version(vkey, snap) {
+                    if let Some(pinned) = snap.chunk(vkey) {
                         return Ok(ChunkPayload::Chunk(pinned));
                     }
                     if !bypassed {
@@ -389,7 +388,7 @@ impl ChunkedArray {
                 }
             }
         };
-        if let Some(pinned) = self.resolve_version(vkey, snap) {
+        if let Some(pinned) = snap.chunk(vkey) {
             return Ok(ChunkPayload::Chunk(pinned));
         }
         let Some(chunk) = decoded else {
@@ -399,19 +398,17 @@ impl ChunkedArray {
             return Ok(ChunkPayload::DiffSeq(Arc::new(bytes)));
         };
         let chunk = Arc::new(chunk);
-        if let Some(cache) = self.cache.as_deref() {
-            let evicted = cache.insert(
-                self.chunk_key(chunk_no)?,
-                epoch,
-                chunk.clone(),
-                chunk.byte_size(),
-                || pins_taken() == pins,
-            );
-            let stats = self.lobs.pool().stats();
-            stats.chunk_cache_misses.inc();
-            if evicted > 0 {
-                stats.chunk_cache_evictions.add(evicted);
-            }
+        let evicted = self.cache.insert(
+            self.chunk_key(chunk_no)?,
+            epoch,
+            chunk.clone(),
+            chunk.byte_size(),
+            || pins_taken() == pins,
+        );
+        let stats = self.lobs.pool().stats();
+        stats.chunk_cache_misses.inc();
+        if evicted > 0 {
+            stats.chunk_cache_evictions.add(evicted);
         }
         Ok(ChunkPayload::Chunk(chunk))
     }
@@ -422,23 +419,6 @@ impl ChunkedArray {
         VersionKey {
             array: self.uid,
             chunk_no,
-        }
-    }
-
-    /// Resolves `key` through the version table: at the snapshot's
-    /// generation when one is given, at the current commit generation
-    /// otherwise. `None` means the on-disk bytes are the right image.
-    fn resolve_version(
-        &self,
-        key: VersionKey,
-        snap: Option<&ChunkSnapshot>,
-    ) -> Option<Arc<CompressedChunk>> {
-        match snap {
-            Some(s) => s.chunk(key),
-            None => self
-                .versions
-                .as_deref()
-                .and_then(|v| v.resolve_current(key)),
         }
     }
 
@@ -521,7 +501,7 @@ impl ChunkedArray {
         chunk_no: u64,
         edits: &[(u32, Vec<i64>)],
     ) -> Result<Vec<Option<Vec<i64>>>> {
-        if self.versions.as_deref().is_some_and(|v| v.is_poisoned()) {
+        if self.versions.is_poisoned() {
             return Err(ArrayError::Poisoned);
         }
         for (_, values) in edits {
@@ -552,14 +532,14 @@ impl ChunkedArray {
         // image so the insert stays invisible until publish), then drop
         // the cached decode (keyed by the object's disk location, which
         // an in-place overwrite reuses), then write the bytes.
-        if let Some(versions) = self.versions.clone() {
-            let writer = *self.writer.get_or_insert_with(|| versions.begin_write());
-            versions.pin_provisional(writer, self.version_key(chunk_no), Arc::clone(&chunk));
-        }
+        let writer = *self
+            .writer
+            .get_or_insert_with(|| self.versions.begin_write());
+        let key = self.version_key(chunk_no);
+        self.versions
+            .pin_provisional(writer, key, Arc::clone(&chunk));
         if self.lobs.object_len(id)? != 0 {
-            if let Some(cache) = self.cache.as_deref() {
-                cache.remove(&self.chunk_key(chunk_no)?);
-            }
+            self.cache.remove(&self.chunk_key(chunk_no)?);
         }
         self.lobs.overwrite(id, &bytes)?;
         self.valid_cells += olds.iter().filter(|o| o.is_none()).count() as u64;
@@ -582,9 +562,7 @@ impl ChunkedArray {
         let bytes = self.format.encode(pre);
         let id = LobId(chunk_no as u32);
         if self.lobs.object_len(id)? != 0 {
-            if let Some(cache) = self.cache.as_deref() {
-                cache.remove(&self.chunk_key(chunk_no)?);
-            }
+            self.cache.remove(&self.chunk_key(chunk_no)?);
         }
         self.lobs.overwrite(id, &bytes)?;
         self.valid_cells -= cells_added;
@@ -595,12 +573,14 @@ impl ChunkedArray {
     /// rollback: snapshots opened from here on read the new bytes,
     /// older snapshots keep their pinned pre-images (see
     /// [`VersionTable::commit_publish`]). Returns the commit generation
-    /// it published; `None` (a no-op) without a version table or an
-    /// open writer ticket.
-    pub fn publish_writes(&mut self) -> Option<u64> {
-        let versions = self.versions.as_deref()?;
-        let writer = self.writer.take()?;
-        Some(versions.commit_publish(writer))
+    /// it published; with no write applied, that generation holds no
+    /// change.
+    pub fn publish_writes(&mut self) -> u64 {
+        let writer = self
+            .writer
+            .take()
+            .unwrap_or_else(|| self.versions.begin_write());
+        self.versions.commit_publish(writer)
     }
 
     /// Drops the open writer ticket's provisional pins without
@@ -609,8 +589,8 @@ impl ChunkedArray {
     /// [`ChunkedArray::restore_chunk`]); otherwise use
     /// [`ChunkedArray::poison_writes`].
     pub fn rollback_writes(&mut self) {
-        if let (Some(versions), Some(writer)) = (self.versions.as_deref(), self.writer.take()) {
-            versions.rollback_writer(writer);
+        if let Some(writer) = self.writer.take() {
+            self.versions.rollback_writer(writer);
         }
     }
 
@@ -620,20 +600,27 @@ impl ChunkedArray {
     /// are left in place so readers keep resolving consistent
     /// pre-batch images.
     pub fn poison_writes(&self) {
-        if let Some(versions) = self.versions.as_deref() {
-            versions.poison();
-        }
+        self.versions.poison();
     }
 
     /// Calls `f(coords, measures)` for every valid cell, in chunk order
-    /// then offset order.
-    pub fn for_each_cell<F>(&self, mut f: F) -> Result<()>
+    /// then offset order, under one snapshot of its own.
+    pub fn for_each_cell<F>(&self, f: F) -> Result<()>
+    where
+        F: FnMut(&[u32], &[i64]),
+    {
+        self.for_each_cell_at(&self.snapshot(), f)
+    }
+
+    /// [`ChunkedArray::for_each_cell`] with every chunk read under
+    /// `snap`, so scans that share it see one commit generation.
+    pub fn for_each_cell_at<F>(&self, snap: &ChunkSnapshot, mut f: F) -> Result<()>
     where
         F: FnMut(&[u32], &[i64]),
     {
         let mut coords = vec![0u32; self.shape.n_dims()];
         for chunk_no in 0..self.shape.num_chunks() {
-            for (offset, values) in self.read_chunk(chunk_no)?.iter() {
+            for (offset, values) in self.read_chunk_at(chunk_no, snap)?.iter() {
                 self.shape.decode(chunk_no, offset, &mut coords);
                 f(&coords, values);
             }
@@ -643,7 +630,8 @@ impl ChunkedArray {
 
     /// Sums each measure over the axis-aligned box `lo..=hi` — the
     /// ADT's "sum of a subset" function (§3.5). Chunks that do not
-    /// intersect the box are not read.
+    /// intersect the box are not read; those that do are read under one
+    /// snapshot.
     pub fn sum_region(&self, lo: &[u32], hi: &[u32]) -> Result<Vec<i64>> {
         let n = self.shape.n_dims();
         if lo.len() != n || hi.len() != n {
@@ -663,11 +651,12 @@ impl ChunkedArray {
         let hi_chunk: Vec<u32> = (0..n).map(|d| self.shape.chunk_coord(d, hi[d])).collect();
         let mut grid = lo_chunk.clone();
         let mut coords = vec![0u32; n];
+        let snap = self.snapshot();
         loop {
             let chunk_no: u64 = (0..n)
                 .map(|d| grid[d] as u64 * self.shape.chunk_stride(d))
                 .sum();
-            for (offset, values) in self.read_chunk(chunk_no)?.iter() {
+            for (offset, values) in self.read_chunk_at(chunk_no, &snap)?.iter() {
                 self.shape.decode(chunk_no, offset, &mut coords);
                 if (0..n).all(|d| lo[d] <= coords[d] && coords[d] <= hi[d]) {
                     for (s, &v) in sums.iter_mut().zip(values) {
@@ -1181,7 +1170,9 @@ mod tests {
                 // Clearing the pool bumps the epoch: the read is cold.
                 p.clear().unwrap();
                 let before = p.stats().snapshot();
-                let payload = a.read_chunk_stream_at(0, &mut scratch, None).unwrap();
+                let payload = a
+                    .read_chunk_stream_at(0, &mut scratch, &a.snapshot())
+                    .unwrap();
                 assert_eq!(
                     matches!(payload, ChunkPayload::DiffSeq(_)),
                     streamed,
@@ -1200,7 +1191,9 @@ mod tests {
             // read publishes what a streamed chunk did not.
             let before = p.stats().snapshot();
             a.read_chunk(0).unwrap();
-            let again = a.read_chunk_stream_at(0, &mut scratch, None).unwrap();
+            let again = a
+                .read_chunk_stream_at(0, &mut scratch, &a.snapshot())
+                .unwrap();
             assert!(matches!(again, ChunkPayload::Chunk(_)), "{format:?}");
             let d = p.stats().snapshot().since(&before);
             assert_eq!(
@@ -1236,11 +1229,12 @@ mod tests {
                 .unwrap()
                 .to_vec();
             let location = a.chunk_key(chunk_no).unwrap();
-            let vt = shared_version_table(a.pool()).unwrap();
+            let vt = shared_version_table(a.pool());
             let snap = vt.begin_snapshot();
 
-            // Unpublished batch: the pin shields both snapshotted and
-            // unsnapshotted readers from the half-committed bytes.
+            // Unpublished batch: the pin shields readers under the old
+            // snapshot and at the current generation alike from the
+            // half-committed bytes.
             let mut edits = vec![(offset, vec![4242])];
             if !in_place {
                 edits.push((offset + 1, vec![17]));
@@ -1256,7 +1250,7 @@ mod tests {
                 in_place,
                 "{format:?}: only an update of existing cells stays in place"
             );
-            let via_snap = reader.read_chunk_at(chunk_no, Some(&snap)).unwrap();
+            let via_snap = reader.read_chunk_at(chunk_no, &snap).unwrap();
             assert_eq!(via_snap.probe(offset), Some(&old[..]), "{format:?}");
             assert_eq!(via_snap.probe(offset + 1), None);
             let via_current = reader.read_chunk(chunk_no).unwrap();
@@ -1269,12 +1263,12 @@ mod tests {
             assert_eq!(via_writer.probe(offset), Some(&[4242i64][..]));
             let inserted = (!in_place).then_some(&[17i64][..]);
             assert_eq!(via_writer.probe(offset + 1), inserted);
-            let via_snap = reader.read_chunk_at(chunk_no, Some(&snap)).unwrap();
+            let via_snap = reader.read_chunk_at(chunk_no, &snap).unwrap();
             assert_eq!(via_snap.probe(offset), Some(&old[..]));
             assert_eq!(via_snap.probe(offset + 1), None);
             let mut scratch = PrefetchScratch::default();
             let via_prefetch = reader
-                .read_chunk_stream_at(chunk_no, &mut scratch, Some(&snap))
+                .read_chunk_stream_at(chunk_no, &mut scratch, &snap)
                 .and_then(|payload| payload.into_chunk(u32::MAX))
                 .unwrap();
             assert_eq!(via_prefetch.probe(offset), Some(&old[..]));
@@ -1297,8 +1291,8 @@ mod tests {
         // reader's final pin check and its cache insert: the insert is
         // conditional on the pin counter sampled before the read.
         let mut a = build_sample(ChunkFormat::ChunkOffset);
-        let vt = shared_version_table(a.pool()).unwrap();
-        let cache = shared_chunk_cache(a.pool()).unwrap();
+        let vt = shared_version_table(a.pool());
+        let cache = shared_chunk_cache(a.pool());
         let (chunk_no, offset) = a.shape().locate(&[0, 0, 0]).unwrap();
         let key = a.chunk_key(chunk_no).unwrap();
         let vkey = a.version_key(chunk_no);

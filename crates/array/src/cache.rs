@@ -9,8 +9,8 @@
 //! `Arc<CompressedChunk>`s so hot reads skip both the pool and the
 //! codec.
 //!
-//! One cache is attached *per buffer pool* (via the pool's extension
-//! slot, see [`shared_chunk_cache`]) so every `ChunkedArray` opened over
+//! One cache is attached *per buffer pool* (as a pool extension, see
+//! [`shared_chunk_cache`]) so every `ChunkedArray` opened over
 //! the same database file shares it — `Database::sql` reopens arrays per
 //! statement, and warmth must survive the reopen.
 //!
@@ -247,10 +247,9 @@ impl ChunkCache {
     }
 }
 
-/// The pool-wide shared chunk cache, installed in the pool's extension
-/// slot on first use and sized to the pool's own byte budget. Returns
-/// `None` only if the slot is occupied by something else.
-pub fn shared_chunk_cache(pool: &Arc<BufferPool>) -> Option<Arc<ChunkCache>> {
+/// The pool-wide shared chunk cache, installed as a pool extension on
+/// first use and sized to the pool's own byte budget.
+pub fn shared_chunk_cache(pool: &Arc<BufferPool>) -> Arc<ChunkCache> {
     let budget = pool.num_frames() * molap_storage::PAGE_SIZE;
     pool.extension_or_init(|| Arc::new(ChunkCache::new(budget)))
 }

@@ -76,9 +76,9 @@ pub struct ChunkPipeline<'a> {
     resident: Vec<Option<Arc<CompressedChunk>>>,
     misses: Vec<usize>,
     depth: usize,
-    /// When set, every read resolves through it, so the whole scan
-    /// observes one commit generation even while a writer publishes.
-    snapshot: Option<ChunkSnapshot>,
+    /// Every read resolves through it, so the whole scan observes one
+    /// commit generation even while a writer publishes.
+    snapshot: ChunkSnapshot,
     delivery: Mutex<QueueState>,
     /// Signalled when the next chunk in order is published (consumers
     /// wait here).
@@ -100,12 +100,12 @@ impl<'a> ChunkPipeline<'a> {
         array: &'a ChunkedArray,
         candidates: Vec<u64>,
         depth: usize,
-        snapshot: Option<ChunkSnapshot>,
+        snapshot: ChunkSnapshot,
     ) -> Result<Self> {
         let depth = depth.max(1);
         let resident = candidates
             .iter()
-            .map(|&chunk_no| array.resident_chunk_at(chunk_no, snapshot.as_ref()))
+            .map(|&chunk_no| array.resident_chunk_at(chunk_no, &snapshot))
             .collect::<Result<Vec<_>>>()?;
         let misses: Vec<usize> = (0..resident.len())
             .filter(|&i| resident[i].is_none())
@@ -168,10 +168,9 @@ impl<'a> ChunkPipeline<'a> {
             stats.prefetch_issued.inc();
             // Read + decode/validate outside the delivery lock.
             let chunk_no = self.candidates[self.misses[k]];
-            let snap = self.snapshot.as_ref();
             let result = self
                 .array
-                .read_chunk_stream_at(chunk_no, &mut scratch, snap);
+                .read_chunk_stream_at(chunk_no, &mut scratch, &self.snapshot);
             let mut q = self.delivery.lock();
             if q.cancelled {
                 stats.prefetch_wasted.inc();
@@ -322,7 +321,7 @@ mod tests {
             let depth = 3;
             pool.clear().unwrap();
             let before = pool.stats().snapshot();
-            let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
+            let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, a.snapshot()).unwrap();
             assert_eq!(pipe.misses(), n, "a cleared pool leaves nothing resident");
             let seen = std::thread::scope(|s| {
                 for _ in 0..3 {
@@ -354,7 +353,7 @@ mod tests {
             a.read_chunk(chunk_no).unwrap();
         }
         let before = pool.stats().snapshot();
-        let pipe = ChunkPipeline::new(&a, candidates.clone(), 2, None).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates.clone(), 2, a.snapshot()).unwrap();
         assert_eq!(pipe.misses(), 0);
         // No producer exists, so any hand-off would hang right here.
         assert_eq!(drain(&pipe, &a), candidates);
@@ -377,7 +376,7 @@ mod tests {
         }
         let before = pool.stats().snapshot();
         let depth = 2;
-        let pipe = ChunkPipeline::new(&a, candidates, depth, None).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates, depth, a.snapshot()).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             // Take one chunk, then let the producer refill the window.
@@ -413,7 +412,7 @@ mod tests {
     fn empty_candidate_list_is_a_no_op() {
         let pool = Arc::new(BufferPool::new(Arc::new(MemDisk::new()), 64));
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
-        let pipe = ChunkPipeline::new(&a, Vec::new(), 4, None).unwrap();
+        let pipe = ChunkPipeline::new(&a, Vec::new(), 4, a.snapshot()).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             assert!(pipe.next_payload().is_none());
@@ -430,7 +429,7 @@ mod tests {
         let a = sample_array(&pool, ChunkFormat::ChunkOffset);
         let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
         pool.clear().unwrap();
-        let pipe = ChunkPipeline::new(&a, candidates, 1, None).unwrap();
+        let pipe = ChunkPipeline::new(&a, candidates, 1, a.snapshot()).unwrap();
         std::thread::scope(|s| {
             s.spawn(|| pipe.run_worker());
             s.spawn(|| pipe.run_worker());
@@ -464,7 +463,7 @@ mod tests {
                         a.read_chunk(chunk_no).unwrap();
                     }
                 }
-                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, a.snapshot()).unwrap();
                 let mut seen: Vec<u64> = std::thread::scope(|s| {
                     for _ in 0..producers {
                         s.spawn(|| pipe.run_worker());
@@ -506,7 +505,7 @@ mod tests {
             let candidates: Vec<u64> = (0..a.shape().num_chunks()).collect();
             for (depth, producers) in (1..=3).flat_map(|d| (1..=3).map(move |p| (d, p))) {
                 pool.clear().unwrap();
-                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, None).unwrap();
+                let pipe = ChunkPipeline::new(&a, candidates.clone(), depth, a.snapshot()).unwrap();
                 disk.armed.store(true, Ordering::Relaxed);
                 let failed = std::thread::scope(|s| {
                     for _ in 0..producers {

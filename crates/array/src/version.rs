@@ -38,6 +38,12 @@
 //! reader that re-checks the table after decoding (see
 //! `ChunkedArray::read_chunk_at`) can never return a torn image.
 //!
+//! Every chunk read names a snapshot. A multi-chunk scan holds one for
+//! its whole length; a one-chunk read (`ChunkedArray::read_chunk`,
+//! `get`, `set`) opens its own at the current generation, where no
+//! committed image is newer and only in-flight batches' provisional
+//! pins shield it.
+//!
 //! Pinned images are garbage-collected as soon as no live snapshot is
 //! old enough to need them (on publish and on snapshot drop), so a
 //! write-only or read-only workload keeps the table empty.
@@ -371,18 +377,6 @@ impl VersionTable {
             .map(|(_, chunk)| Arc::clone(chunk))
     }
 
-    /// Resolves `key` for an unsnapshotted read at the current commit
-    /// generation: while a write batch is in flight (pinned but not yet
-    /// published), readers are served the pinned pre-image instead of
-    /// the possibly half-overwritten bytes.
-    pub fn resolve_current(&self, key: VersionKey) -> Option<Arc<CompressedChunk>> {
-        if self.pin_count.load(Ordering::SeqCst) == 0 {
-            return None;
-        }
-        let gen = self.versions.lock().commit_gen;
-        self.resolve(key, gen)
-    }
-
     fn end_snapshot(&self, gen: u64) {
         let mut state = self.versions.lock();
         if let Some(count) = state.readers.get_mut(&gen) {
@@ -424,18 +418,10 @@ impl Drop for ChunkSnapshot {
     }
 }
 
-/// Returns the pool-wide [`VersionTable`], installing an empty one in a
-/// pool extension slot on first use (see
-/// [`BufferPool::extension_or_init`]). Returns `None` only if every
-/// slot is claimed by other extension types.
-pub fn shared_version_table(pool: &Arc<BufferPool>) -> Option<Arc<VersionTable>> {
-    pool.extension_or_init(VersionTable::new_arc)
-}
-
-impl VersionTable {
-    fn new_arc() -> Arc<Self> {
-        Arc::new(VersionTable::new())
-    }
+/// Returns the pool-wide [`VersionTable`], installing an empty one as a
+/// pool extension on first use (see [`BufferPool::extension_or_init`]).
+pub fn shared_version_table(pool: &Arc<BufferPool>) -> Arc<VersionTable> {
+    pool.extension_or_init(|| Arc::new(VersionTable::new()))
 }
 
 #[cfg(test)]
@@ -533,14 +519,13 @@ mod tests {
         };
         t.pin_provisional(b, other, chunk_with(0, 20));
         t.commit_publish(b);
-        let shielded = t.resolve_current(key(1)).expect("A still in flight");
+        let now = t.begin_snapshot();
+        let shielded = now.chunk(key(1)).expect("A still in flight");
         assert_eq!(shielded.probe(0), Some(&[10i64][..]));
-        assert!(
-            t.resolve_current(other).is_none(),
-            "B's publish exposes B's bytes"
-        );
+        assert!(now.chunk(other).is_none(), "B's publish exposes B's bytes");
+        drop(now);
         t.commit_publish(a);
-        assert!(t.resolve_current(key(1)).is_none());
+        assert!(t.begin_snapshot().chunk(key(1)).is_none());
         assert_eq!(t.pinned_versions(), 0);
     }
 
@@ -552,8 +537,10 @@ mod tests {
         t.pin_provisional(a, key(1), chunk_with(0, 10));
         t.pin_provisional(b, key(2), chunk_with(0, 20));
         t.rollback_writer(a);
-        assert!(t.resolve_current(key(1)).is_none(), "A's pin dropped");
-        assert!(t.resolve_current(key(2)).is_some(), "B's pin survives");
+        let now = t.begin_snapshot();
+        assert!(now.chunk(key(1)).is_none(), "A's pin dropped");
+        assert!(now.chunk(key(2)).is_some(), "B's pin survives");
+        drop(now);
         t.rollback_writer(b);
         assert_eq!(t.pinned_versions(), 0);
         assert_eq!(t.commit_gen(), 0, "rollbacks publish nothing");

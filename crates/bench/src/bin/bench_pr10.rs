@@ -127,18 +127,24 @@ fn main() {
     let point_q = range_query(distinct as usize, 1);
     adt.set_planner_mode(PlannerMode::ForceBtree);
     let expect_point = adt.consolidate(&point_q).expect("point oracle");
-    let btree_point_ms = min_wall(runs, || {
-        assert_eq!(
-            adt.consolidate(&point_q).expect("btree point"),
-            expect_point
-        );
-    });
+    let [btree_point_ms] = min_wall(
+        runs,
+        [&mut || {
+            assert_eq!(
+                adt.consolidate(&point_q).expect("btree point"),
+                expect_point
+            );
+        }],
+    );
     adt.set_planner_mode(PlannerMode::Auto);
     let stats = adt.pool().stats();
     let before = stats.snapshot();
-    let auto_point_ms = min_wall(runs, || {
-        assert_eq!(adt.consolidate(&point_q).expect("auto point"), expect_point);
-    });
+    let [auto_point_ms] = min_wall(
+        runs,
+        [&mut || {
+            assert_eq!(adt.consolidate(&point_q).expect("auto point"), expect_point);
+        }],
+    );
     let routed = stats.snapshot().since(&before);
     assert!(
         routed.planner_hbi == 0 && routed.planner_btree > 0,
@@ -234,15 +240,46 @@ fn range_query(distinct: usize, width: usize) -> Query {
     )
 }
 
-/// Minimum-of-`runs` wall milliseconds of one closure call.
-fn min_wall(runs: usize, mut f: impl FnMut()) -> f64 {
-    let mut best = f64::INFINITY;
-    for _ in 0..runs.max(1) {
+/// Minimum-of-`runs` wall milliseconds of one call of each closure. A
+/// call of tens of microseconds timed alone is bimodal from process to
+/// process, so each sample times a batch of calls lasting at least a
+/// millisecond, sized from one timed call, and takes the batch mean.
+/// The closures' samples alternate, so a change in machine speed during
+/// the measurement reaches every closure alike.
+fn min_wall<const N: usize>(runs: usize, mut fs: [&mut dyn FnMut(); N]) -> [f64; N] {
+    let batches = fs.each_mut().map(|f| {
         let t0 = Instant::now();
         f();
-        best = best.min(t0.elapsed().as_secs_f64() * 1e3);
+        (1e-3 / t0.elapsed().as_secs_f64().max(1e-9)).ceil() as usize
+    });
+    let mut best = [f64::INFINITY; N];
+    for _ in 0..runs.max(1) {
+        for ((f, &batch), best) in fs.iter_mut().zip(&batches).zip(&mut best) {
+            let t0 = Instant::now();
+            for _ in 0..batch {
+                f();
+            }
+            *best = best.min(t0.elapsed().as_secs_f64() * 1e3 / batch as f64);
+        }
     }
     best
+}
+
+/// [`min_wall`] of resolving `q`'s dimension-0 index list under the
+/// B-tree plan and under the HBI plan, as `[btree_ms, hbi_ms]`.
+fn index_list_ms(adt: &OlapArray, q: &Query, len: usize, runs: usize) -> [f64; 2] {
+    let list = |mode| {
+        adt.set_planner_mode(mode);
+        assert_eq!(adt.selection_index_list(q, 0).unwrap().unwrap().len(), len);
+    };
+    let ms = min_wall(
+        runs,
+        [&mut || list(PlannerMode::ForceBtree), &mut || {
+            list(PlannerMode::ForceHbi)
+        }],
+    );
+    adt.set_planner_mode(PlannerMode::Auto);
+    ms
 }
 
 fn measure_range(adt: &OlapArray, distinct: usize, width: usize, runs: usize) -> SweepPoint {
@@ -252,31 +289,23 @@ fn measure_range(adt: &OlapArray, distinct: usize, width: usize, runs: usize) ->
         .selection_index_list(&q, 0)
         .expect("btree list")
         .expect("selected dimension");
-    let btree_ms = min_wall(runs, || {
-        let got = adt.selection_index_list(&q, 0).unwrap().unwrap();
-        assert_eq!(got.len(), expect.len());
-    });
     adt.set_planner_mode(PlannerMode::ForceHbi);
+    let stats = adt.pool().stats();
+    let before = stats.snapshot();
     let got = adt
         .selection_index_list(&q, 0)
         .expect("hbi list")
         .expect("selected dimension");
-    assert_eq!(got, expect, "HBI index list diverged at width {width}");
-    let stats = adt.pool().stats();
-    let before = stats.snapshot();
-    let hbi_ms = min_wall(runs, || {
-        let got = adt.selection_index_list(&q, 0).unwrap().unwrap();
-        assert_eq!(got.len(), expect.len());
-    });
     let delta = stats.snapshot().since(&before);
-    adt.set_planner_mode(PlannerMode::Auto);
+    assert_eq!(got, expect, "HBI index list diverged at width {width}");
+    let [btree_ms, hbi_ms] = index_list_ms(adt, &q, expect.len(), runs);
     SweepPoint {
         width,
         selectivity: width as f64 / distinct as f64,
         btree_ms,
         hbi_ms,
         speedup: btree_ms / hbi_ms,
-        hbi_bitmaps_read: delta.hbi_bitmaps_read / runs.max(1) as u64,
+        hbi_bitmaps_read: delta.hbi_bitmaps_read,
     }
 }
 
@@ -290,21 +319,13 @@ fn measure_in(adt: &OlapArray, distinct: usize, k: usize, runs: usize) -> InPoin
         .selection_index_list(&q, 0)
         .expect("btree list")
         .expect("selected dimension");
-    let btree_ms = min_wall(runs, || {
-        let got = adt.selection_index_list(&q, 0).unwrap().unwrap();
-        assert_eq!(got.len(), expect.len());
-    });
     adt.set_planner_mode(PlannerMode::ForceHbi);
     let got = adt
         .selection_index_list(&q, 0)
         .expect("hbi list")
         .expect("selected dimension");
     assert_eq!(got, expect, "HBI index list diverged at IN-{k}");
-    let hbi_ms = min_wall(runs, || {
-        let got = adt.selection_index_list(&q, 0).unwrap().unwrap();
-        assert_eq!(got.len(), expect.len());
-    });
-    adt.set_planner_mode(PlannerMode::Auto);
+    let [btree_ms, hbi_ms] = index_list_ms(adt, &q, expect.len(), runs);
     InPoint {
         values: k,
         btree_ms,

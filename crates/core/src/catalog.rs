@@ -277,12 +277,10 @@ impl Database {
         // A poisoned write path means some array chunks hold a torn,
         // unrestorable batch prefix; persisting them would make the
         // corruption durable.
-        if let Some(versions) = molap_array::shared_version_table(&self.pool) {
-            if versions.is_poisoned() {
-                return Err(Error::Data(
-                    "write path poisoned by a failed rollback; refusing checkpoint".into(),
-                ));
-            }
+        if molap_array::shared_version_table(&self.pool).is_poisoned() {
+            return Err(Error::Data(
+                "write path poisoned by a failed rollback; refusing checkpoint".into(),
+            ));
         }
         let blob = {
             let cat = self.catalog.lock();
@@ -354,7 +352,7 @@ impl Database {
             return Ok(crate::WriteReceipt::default());
         }
         let versions = molap_array::shared_version_table(&self.pool);
-        let _commit = versions.as_deref().map(|v| v.commit_section());
+        let _commit = versions.commit_section();
         let mut adt = self.open_olap_array(name)?;
         // lint:allow(lock-io): the commit section deliberately spans stage → checkpoint → publish so readers never observe a half-applied batch (DESIGN.md §9)
         let pending = crate::write::stage_cells(
@@ -399,7 +397,7 @@ impl Database {
     pub fn prepare(&self, statement: &str, measures: &[&str]) -> Result<Prepared> {
         use std::hash::{Hash, Hasher};
         let name = crate::sql::extract_from(statement)?;
-        let snap = crate::parallel::snapshot(&self.pool);
+        let snap = molap_array::shared_version_table(&self.pool).begin_snapshot();
         let target = match self.lookup(&name)? {
             (ObjectKind::OlapArray, meta) => Target::Array(Box::new(OlapArray::from_meta_bytes(
                 self.pool.clone(),
@@ -442,7 +440,7 @@ enum Target {
 pub struct Prepared {
     target: Target,
     query: crate::Query,
-    snap: Option<molap_array::ChunkSnapshot>,
+    snap: molap_array::ChunkSnapshot,
     fingerprint: u64,
 }
 
@@ -454,12 +452,9 @@ impl Prepared {
         self.fingerprint
     }
 
-    /// The commit generation the statement reads at (0 without a
-    /// version table).
+    /// The commit generation the statement reads at.
     pub fn generation(&self) -> u64 {
-        self.snap
-            .as_ref()
-            .map_or(0, molap_array::ChunkSnapshot::generation)
+        self.snap.generation()
     }
 
     /// Runs the statement: the array engine under the held snapshot, or

@@ -70,9 +70,8 @@ pub(crate) fn make_cube(maps: &[GroupMap], n_measures: usize) -> ResultCube {
 }
 
 /// The §4.1 reference algorithm: full consolidation, no selections,
-/// one cell at a time on the calling thread. It reads each chunk at the
-/// current generation with no snapshot across chunks, so it is the
-/// oracle for a quiesced array; the engine's scans go through
+/// one cell at a time on the calling thread, every chunk read under one
+/// snapshot. The engine's scans go through
 /// [`crate::consolidate_pipelined`].
 pub(crate) fn consolidate_full(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
     let maps = phase1(adt, query)?;
@@ -99,19 +98,22 @@ pub(crate) fn consolidate_full(adt: &OlapArray, query: &Query) -> Result<Consoli
 /// dimension so that each band's dense cube holds at most
 /// `max_result_cells` cells (best effort: a single rank's band may
 /// exceed the bound if the remaining dimensions alone do). The input
-/// array is scanned once per band; rows are emitted band by band.
-/// Results are identical to [`consolidate_full`].
+/// array is scanned once per band, every band under the same snapshot,
+/// so a commit landing between bands cannot split the answer across
+/// generations; rows are emitted band by band. Results are identical
+/// to [`consolidate_full`].
 pub(crate) fn consolidate_partitioned(
     adt: &OlapArray,
     query: &Query,
     max_result_cells: usize,
 ) -> Result<ConsolidationResult> {
     let maps = phase1(adt, query)?;
+    let snap = adt.array().snapshot();
     if maps.is_empty() {
         // Global aggregate: nothing to partition.
         let mut cube = make_cube(&maps, adt.n_measures());
         adt.array()
-            .for_each_cell(|_, values| cube.add(&[], values))?;
+            .for_each_cell_at(&snap, |_, values| cube.add(&[], values))?;
         return cube.into_result(&query.aggs);
     }
 
@@ -139,7 +141,7 @@ pub(crate) fn consolidate_partitioned(
             })
             .collect();
         let mut cube = crate::result::ResultCube::new(band_dims, adt.n_measures());
-        adt.array().for_each_cell(|coords, values| {
+        adt.array().for_each_cell_at(&snap, |coords, values| {
             let first_rank = maps[0].i2i[coords[maps[0].dim] as usize] as usize;
             if first_rank < band_start || first_rank >= band_end {
                 return;

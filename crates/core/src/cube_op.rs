@@ -17,7 +17,7 @@
 
 use crate::adt::OlapArray;
 use crate::error::{Error, Result};
-use crate::parallel::{consolidate_cube_auto, snapshot};
+use crate::parallel::consolidate_cube_auto;
 use crate::query::Query;
 use crate::result::{ConsolidationResult, ResultCube};
 
@@ -56,7 +56,7 @@ pub fn compute_cube(adt: &OlapArray, query: &Query) -> Result<Vec<CubeSlice>> {
     }
 
     // Finest cube: one positional array scan (§4.1 phase 2).
-    let (_, finest) = consolidate_cube_auto(adt, query, snapshot(adt.pool()))?;
+    let (_, finest) = consolidate_cube_auto(adt, query, adt.array().snapshot())?;
 
     // Lattice walk: for each mask (descending popcount), project from
     // the smallest computed parent differing by exactly one dimension.

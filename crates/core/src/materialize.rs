@@ -21,7 +21,7 @@ use crate::aggregate::{AggFunc, AggValue};
 use crate::consolidate::GroupMap;
 use crate::dimension::DimensionTable;
 use crate::error::{Error, Result};
-use crate::parallel::{consolidate_cube_auto, snapshot};
+use crate::parallel::consolidate_cube_auto;
 use crate::query::{DimGrouping, Query};
 
 impl OlapArray {
@@ -46,7 +46,7 @@ impl OlapArray {
                 "a result array needs at least one grouped dimension".into(),
             ));
         }
-        let (maps, cube) = consolidate_cube_auto(self, query, snapshot(self.pool()))?;
+        let (maps, cube) = consolidate_cube_auto(self, query, self.array().snapshot())?;
 
         let dims: Vec<DimensionTable> = maps
             .iter()

@@ -20,11 +20,8 @@
 //! full scan is the selection with no membership mask, which always
 //! takes the scan direction.
 
-use std::sync::Arc;
-
 use molap_array::diffseq::DiffSeqCursor;
-use molap_array::{shared_version_table, ChunkPayload, ChunkPipeline, ChunkSnapshot};
-use molap_storage::BufferPool;
+use molap_array::{ChunkPayload, ChunkPipeline, ChunkSnapshot};
 
 use crate::adt::OlapArray;
 use crate::consolidate::{make_cube, phase1, GroupMap};
@@ -87,14 +84,9 @@ pub fn consolidate_pipelined(
     workers: usize,
     plan: PrefetchPlan,
 ) -> Result<ConsolidationResult> {
-    let (_, cube) = consolidate_pipelined_cube(adt, query, workers, plan, snapshot(adt.pool()))?;
+    let snap = adt.array().snapshot();
+    let (_, cube) = consolidate_pipelined_cube(adt, query, workers, plan, snap)?;
     cube.into_result(&query.aggs)
-}
-
-/// Registers a reader at the pool's current commit generation, when the
-/// pool has a version table.
-pub(crate) fn snapshot(pool: &Arc<BufferPool>) -> Option<ChunkSnapshot> {
-    shared_version_table(pool).map(|vt| vt.begin_snapshot())
 }
 
 /// [`consolidate_pipelined`] stopping at the positional result cube —
@@ -111,7 +103,7 @@ pub(crate) fn consolidate_pipelined_cube(
     query: &Query,
     workers: usize,
     plan: PrefetchPlan,
-    snap: Option<ChunkSnapshot>,
+    snap: ChunkSnapshot,
 ) -> Result<(Vec<GroupMap>, ResultCube)> {
     query.validate(adt.dims(), adt.n_measures())?;
     let workers = workers.max(1);
@@ -289,7 +281,7 @@ fn consume_pipeline(
 /// `Database::sql` and the server alike, opens a fresh handle per
 /// statement.
 pub fn consolidate_auto(adt: &OlapArray, query: &Query) -> Result<ConsolidationResult> {
-    consolidate_at(adt, query, snapshot(adt.pool()))
+    consolidate_at(adt, query, adt.array().snapshot())
 }
 
 /// [`consolidate_auto`] under a snapshot the caller took:
@@ -298,7 +290,7 @@ pub fn consolidate_auto(adt: &OlapArray, query: &Query) -> Result<ConsolidationR
 pub(crate) fn consolidate_at(
     adt: &OlapArray,
     query: &Query,
-    snap: Option<ChunkSnapshot>,
+    snap: ChunkSnapshot,
 ) -> Result<ConsolidationResult> {
     query.validate(adt.dims(), adt.n_measures())?;
     crate::rescache::consolidate_cached(adt, query, snap, |snap| {
@@ -313,7 +305,7 @@ pub(crate) fn consolidate_at(
 pub(crate) fn consolidate_cube_auto(
     adt: &OlapArray,
     query: &Query,
-    snap: Option<ChunkSnapshot>,
+    snap: ChunkSnapshot,
 ) -> Result<(Vec<GroupMap>, ResultCube)> {
     let num_chunks = adt.array().shape().num_chunks();
     let cpus = std::thread::available_parallelism()

@@ -388,25 +388,28 @@ impl ResultCache {
     }
 }
 
-/// The pool-wide shared result cache, installed in a pool extension
-/// slot on first use and sized to half the pool's byte budget (result
-/// cubes are far smaller than the chunk data they summarize). Returns
-/// `None` only if every extension slot is occupied by other types.
-pub fn shared_result_cache(pool: &Arc<BufferPool>) -> Option<Arc<ResultCache>> {
+/// The pool-wide shared result cache, installed as a pool extension on
+/// first use and sized to half the pool's byte budget (result cubes are
+/// far smaller than the chunk data they summarize).
+pub(crate) fn result_cache(pool: &Arc<BufferPool>) -> Arc<ResultCache> {
     let budget = pool.num_frames() * molap_storage::PAGE_SIZE / 2;
     pool.extension_or_init(|| Arc::new(ResultCache::new(budget)))
 }
 
+/// [`result_cache`] for callers outside the engine. Always `Some`: the
+/// lookup cannot fail, and the `Option` stays only because existing
+/// callers (the benchmark harness) unwrap it.
+pub fn shared_result_cache(pool: &Arc<BufferPool>) -> Option<Arc<ResultCache>> {
+    Some(result_cache(pool))
+}
+
 /// Write-path fallback for a commit that runs no [`maintain`] pass
-/// (the [`crate::CubeMaintenance::InvalidateAll`] baseline, or a pool
-/// without a version table): every cached result on the pool goes
-/// cold. Installing the (empty) cache just to bump its generation is
-/// harmless.
+/// (the [`crate::CubeMaintenance::InvalidateAll`] baseline): every
+/// cached result on the pool goes cold. Installing the (empty) cache
+/// just to bump its generation is harmless.
 pub(crate) fn invalidate_writes(pool: &Arc<BufferPool>) {
-    if let Some(cache) = shared_result_cache(pool) {
-        cache.bump_write_gen();
-        pool.stats().result_cache_invalidations.inc();
-    }
+    result_cache(pool).bump_write_gen();
+    pool.stats().result_cache_invalidations.inc();
 }
 
 /// Carries the pool's cached cubes across a commit of `deltas` to `adt`
@@ -430,9 +433,7 @@ pub(crate) fn invalidate_writes(pool: &Arc<BufferPool>) {
 /// `load_i2i`) leaves the remaining entries at `gen - 1`: cold, never
 /// stale.
 pub(crate) fn maintain(adt: &OlapArray, gen: u64, deltas: &[CellDelta]) -> Result<(u64, u64)> {
-    let Some(cache) = shared_result_cache(adt.pool()) else {
-        return Ok((0, 0));
-    };
+    let cache = result_cache(adt.pool());
     let stats = adt.pool().stats();
     let to = Stamp {
         epoch: adt.pool().epoch(),
@@ -547,15 +548,13 @@ fn delta_selected(adt: &OlapArray, key: &CacheKey, coords: &[u32]) -> Option<boo
 pub(crate) fn consolidate_cached<F>(
     adt: &OlapArray,
     query: &Query,
-    snap: Option<ChunkSnapshot>,
+    snap: ChunkSnapshot,
     compute: F,
 ) -> Result<ConsolidationResult>
 where
-    F: FnOnce(Option<ChunkSnapshot>) -> Result<ResultCube>,
+    F: FnOnce(ChunkSnapshot) -> Result<ResultCube>,
 {
-    let Some(cache) = shared_result_cache(adt.pool()) else {
-        return compute(snap)?.into_result(&query.aggs);
-    };
+    let cache = result_cache(adt.pool());
     let stats = adt.pool().stats();
     // One stamp for the lookup, any derivation and the compute, all
     // captured before any of them: a cube stamped here reflects exactly
@@ -563,7 +562,7 @@ where
     let stamp = Stamp {
         epoch: adt.pool().epoch(),
         write_gen: cache.write_gen(),
-        gen: snap.as_ref().map_or(0, ChunkSnapshot::generation),
+        gen: snap.generation(),
     };
     let key = CacheKey::of(adt, query);
 
@@ -728,7 +727,7 @@ mod tests {
     }
 
     fn cube_for(adt: &OlapArray, q: &Query) -> ResultCube {
-        crate::parallel::consolidate_cube_auto(adt, q, None)
+        crate::parallel::consolidate_cube_auto(adt, q, adt.array().snapshot())
             .unwrap()
             .1
     }
@@ -1001,8 +1000,8 @@ mod tests {
         let a = shared_result_cache(adt.pool()).unwrap();
         let b = shared_result_cache(adt.pool()).unwrap();
         assert!(Arc::ptr_eq(&a, &b));
-        // Coexists with the chunk cache on the same pool's slots.
-        assert!(molap_array::shared_chunk_cache(adt.pool()).is_some());
-        assert!(shared_result_cache(adt.pool()).is_some());
+        // Coexists with the chunk cache on the same pool.
+        molap_array::shared_chunk_cache(adt.pool());
+        assert!(Arc::ptr_eq(&a, &shared_result_cache(adt.pool()).unwrap()));
     }
 }

@@ -201,8 +201,8 @@ fn make_probe(adt: &OlapArray, d: usize, list: Option<Vec<u32>>) -> DimProbe {
 }
 
 /// The §4.2 reference algorithm, chunk by chunk on the calling thread.
-/// Like [`crate::consolidate::consolidate_full`] it reads each chunk at
-/// the current generation with no snapshot across chunks.
+/// Like [`crate::consolidate::consolidate_full`] it reads every chunk
+/// under one snapshot.
 pub(crate) fn consolidate_with_selection(
     adt: &OlapArray,
     query: &Query,
@@ -217,8 +217,9 @@ pub(crate) fn consolidate_with_selection(
     if !any_empty {
         // Step 2: cross-product in (chunk number, chunk offset) order.
         let mut ranks = vec![0u32; maps.len()];
+        let snap = adt.array().snapshot();
         for (chunk_no, chunk_sel) in candidate_chunks(shape, &probes) {
-            let chunk = adt.array().read_chunk(chunk_no)?;
+            let chunk = adt.array().read_chunk_at(chunk_no, &snap)?;
             eval_chunk(
                 adt, &chunk, &probes, &chunk_sel, &maps, &mut ranks, &mut cube,
             );

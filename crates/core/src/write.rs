@@ -189,10 +189,10 @@ impl PendingCells {
     /// Makes the staged batch visible — version-table publish first,
     /// then result-cube maintenance — and returns the receipt.
     pub(crate) fn publish(self, adt: &mut OlapArray) -> Result<WriteReceipt> {
-        let published = adt.array_mut().publish_writes();
-        let (cubes_patched, cubes_dropped) = match (published, self.maintenance) {
-            (Some(gen), CubeMaintenance::Delta) => rescache::maintain(adt, gen, &self.deltas)?,
-            _ => {
+        let gen = adt.array_mut().publish_writes();
+        let (cubes_patched, cubes_dropped) = match self.maintenance {
+            CubeMaintenance::Delta => rescache::maintain(adt, gen, &self.deltas)?,
+            CubeMaintenance::InvalidateAll => {
                 rescache::invalidate_writes(adt.pool());
                 (0, 0)
             }
@@ -333,7 +333,7 @@ pub(crate) fn apply_cells(
         return Ok(WriteReceipt::default());
     }
     let versions = shared_version_table(adt.pool());
-    let _commit = versions.as_deref().map(|v| v.commit_section());
+    let _commit = versions.commit_section();
     // lint:allow(lock-io): the commit section deliberately spans stage → checkpoint → publish so readers never observe a half-applied batch (DESIGN.md §9)
     let pending = stage_cells(adt, rows, maintenance)?;
     if durable {
@@ -540,7 +540,7 @@ mod tests {
         assert_eq!(adt.consolidate(&q).unwrap(), before);
         assert_eq!(adt.array().valid_cells(), valid_before);
         // The batch's pins were dropped, not leaked.
-        let vt = shared_version_table(adt.pool()).unwrap();
+        let vt = shared_version_table(adt.pool());
         assert_eq!(vt.pinned_versions(), 0);
         // And the write path is healthy: a fresh batch commits.
         let mut batch = WriteBatch::new();

@@ -151,8 +151,10 @@ fn mixed_concurrent_consolidations_match_sequential() {
     let _ = std::fs::remove_file(wal);
 }
 
-/// A writer committing durable batches races pipelined and cached
-/// readers. Every batch rewrites the array's first cell (chunk 0) and
+/// A writer committing durable batches races pipelined, cached,
+/// per-cell reference (`OlapArray::consolidate`) and memory-bounded
+/// (`OlapArray::consolidate_bounded`, one scan per result band) readers.
+/// Every batch rewrites the array's first cell (chunk 0) and
 /// last cell (the last chunk) together, so any reader that tears a
 /// scan across a commit — mixing chunk 0 of one state with the last
 /// chunk of another — produces a total outside the per-boundary set.
@@ -192,7 +194,8 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
     use std::sync::Barrier;
 
     const BATCHES: i64 = 10;
-    const READERS: usize = 4;
+    // Reader kinds by `t % 4`: pipelined, cached, reference, bounded.
+    const READERS: usize = 6;
     const READS: usize = 25;
 
     let mode = if cold { "writer-cold" } else { "writer" };
@@ -252,6 +255,9 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
         .collect();
 
     let q = Query::new(vec![DimGrouping::Drop, DimGrouping::Drop]);
+    // Four regions: with one result cell per band, the bounded reader
+    // scans the array four times per answer.
+    let by_region = Query::new(vec![DimGrouping::Level(0), DimGrouping::Drop]);
     let barrier = Arc::new(Barrier::new(READERS + 1));
     let writer_done = Arc::new(AtomicBool::new(false));
 
@@ -275,6 +281,7 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
         .map(|t| {
             let db = db.clone();
             let q = q.clone();
+            let by_region = by_region.clone();
             let valid = valid.clone();
             let barrier = barrier.clone();
             let writer_done = writer_done.clone();
@@ -284,12 +291,12 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
                 // while a scan is mid-flight.
                 let adt = db.open_olap_array("wsales").unwrap();
                 let results = shared_result_cache(db.pool()).unwrap();
-                let pipelined = t % 2 == 0;
+                let kind = t % 4;
                 barrier.wait();
-                // The `consolidate_auto` readers keep scanning until
-                // the writer is done, so every commit races a scan.
+                // All but the pipelined readers keep scanning until the
+                // writer is done, so every commit races a scan.
                 for i in 0.. {
-                    if i >= READS && (pipelined || writer_done.load(Ordering::SeqCst)) {
+                    if i >= READS && (kind == 0 || writer_done.load(Ordering::SeqCst)) {
                         break;
                     }
                     if cold {
@@ -297,17 +304,24 @@ fn writer_vs_pipelined_readers(cold: bool, products: i64) {
                         // tries again.
                         let _ = db.pool().clear();
                     }
-                    let got = if pipelined {
-                        consolidate_pipelined(&adt, &q, 2, PrefetchPlan::new(2, 4)).unwrap()
-                    } else {
-                        // A cached cube would answer without a scan.
-                        results.bump_write_gen();
-                        consolidate_auto(&adt, &q).unwrap()
+                    let got = match kind {
+                        0 => consolidate_pipelined(&adt, &q, 2, PrefetchPlan::new(2, 4)).unwrap(),
+                        1 => {
+                            // A cached cube would answer without a scan.
+                            results.bump_write_gen();
+                            consolidate_auto(&adt, &q).unwrap()
+                        }
+                        2 => adt.consolidate(&q).unwrap(),
+                        _ => adt.consolidate_bounded(&by_region, 1).unwrap(),
                     };
-                    let sum = match got.rows()[0].values[0] {
-                        AggValue::Int(v) => v,
-                        ref other => panic!("unexpected aggregate {other:?}"),
-                    };
+                    let sum: i64 = got
+                        .rows()
+                        .iter()
+                        .map(|row| match row.values[0] {
+                            AggValue::Int(v) => v,
+                            ref other => panic!("unexpected aggregate {other:?}"),
+                        })
+                        .sum();
                     assert!(
                         valid.contains(&sum),
                         "reader {t} round {i} tore a scan: total {sum} is not \

@@ -55,9 +55,13 @@ const MIN_FRAMES_PER_SHARD: usize = 16;
 /// Upper bound on the shard count.
 const MAX_SHARDS: usize = 64;
 
-/// Number of type-erased extension slots on the pool (one per attached
-/// extension type: decoded-chunk cache, result-cube cache, spares).
-pub const NUM_EXT_SLOTS: usize = 4;
+/// One link of the pool's extension chain: a value of some type, and
+/// the link after it, created on demand.
+#[derive(Default)]
+struct Extension {
+    value: OnceLock<Arc<dyn Any + Send + Sync>>,
+    next: OnceLock<Box<Extension>>,
+}
 
 struct FrameData {
     pid: Option<PageId>,
@@ -115,12 +119,12 @@ pub struct BufferPool {
     /// older epoch as cold, preserving the paper's flush-between-runs
     /// methodology.
     epoch: AtomicU64,
-    /// Type-erased extension slots for higher layers to attach
-    /// pool-wide shared structures (the decoded-chunk cache, the
-    /// result-cube cache) without a dependency cycle. Each slot holds
-    /// at most one object; lookup is by downcast, so at most one
-    /// extension *per type* is installed.
-    ext: [OnceLock<Arc<dyn Any + Send + Sync>>; NUM_EXT_SLOTS],
+    /// Type-erased extensions: pool-wide shared structures of higher
+    /// layers (the version table, the decoded-chunk cache, the
+    /// result-cube cache), attached without a dependency cycle. Lookup
+    /// is by downcast, so at most one extension *per type* is
+    /// installed.
+    ext: Extension,
     /// Optional redo journal: when present, every page write-back is
     /// logged (and the log synced) before it reaches the data file.
     wal: Option<Wal>,
@@ -165,7 +169,7 @@ impl BufferPool {
             shards,
             stats: IoStats::new(),
             epoch: AtomicU64::new(0),
-            ext: std::array::from_fn(|_| OnceLock::new()),
+            ext: Extension::default(),
             wal: None,
         }
     }
@@ -243,37 +247,37 @@ impl BufferPool {
     }
 
     /// Returns the pool's extension object of type `T`, installing
-    /// `init()` into the first free slot on the first call for that
-    /// type. Different extension types coexist (up to
-    /// [`NUM_EXT_SLOTS`] of them); repeated calls for the same type
-    /// return the originally installed object. Returns `None` only if
-    /// every slot is already claimed by other types.
+    /// `init()` on the first call for that type; repeated calls return
+    /// the originally installed object. Any number of types coexist,
+    /// so the lookup cannot fail.
     ///
-    /// Lock-free: slots are `OnceLock`s scanned in order, so this
-    /// introduces no lock rank.
-    pub fn extension_or_init<T, F>(&self, init: F) -> Option<Arc<T>>
+    /// Lock-free: extensions live in a chain of `OnceLock`s, walked in
+    /// order and grown by one link when every link holds another type,
+    /// so this introduces no lock rank.
+    pub fn extension_or_init<T, F>(&self, init: F) -> Arc<T>
     where
         T: Any + Send + Sync,
         F: FnOnce() -> Arc<T>,
     {
         let mut init = Some(init);
-        for slot in &self.ext {
-            let value = slot.get_or_init(|| -> Arc<dyn Any + Send + Sync> {
+        let mut link = &self.ext;
+        loop {
+            let value = link.value.get_or_init(|| -> Arc<dyn Any + Send + Sync> {
                 match init.take() {
                     Some(f) => f(),
-                    // Unreachable: once `init` has run, its slot holds
+                    // Unreachable: once `init` has run, its link holds
                     // an `Arc<T>`, the downcast below succeeds, and the
-                    // loop returns before reaching another empty slot.
+                    // walk returns before reaching another empty link.
                     // A unit value keeps this arm total without a panic
                     // path.
                     None => Arc::new(()),
                 }
             });
             if let Ok(t) = value.clone().downcast::<T>() {
-                return Some(t);
+                return t;
             }
+            link = link.next.get_or_init(Box::default);
         }
-        None
     }
 
     /// The pool's I/O counters.
@@ -872,21 +876,48 @@ mod tests {
     }
 
     #[test]
-    fn extension_slot_installs_once() {
+    fn extensions_install_once_per_type_and_never_fail() {
         let p = pool(2);
-        let a = p.extension_or_init(|| Arc::new(7u64)).unwrap();
-        let b = p.extension_or_init(|| Arc::new(9u64)).unwrap();
+        let a = p.extension_or_init(|| Arc::new(7u64));
+        let b = p.extension_or_init(|| Arc::new(9u64));
         assert_eq!((*a, *b), (7, 7), "first install wins");
-        // A different type gets its own slot and coexists.
-        let s = p.extension_or_init(|| Arc::new(String::from("x"))).unwrap();
-        assert_eq!(*s, "x");
-        assert_eq!(*p.extension_or_init(|| Arc::new(0u64)).unwrap(), 7);
-        // Fill the remaining slots; a fresh type then finds no room.
-        assert!(p.extension_or_init(|| Arc::new(1u32)).is_some());
-        assert!(p.extension_or_init(|| Arc::new(1u16)).is_some());
-        assert!(p.extension_or_init(|| Arc::new(1u8)).is_none());
-        // Installed extensions are unaffected by the full table.
-        assert_eq!(*p.extension_or_init(|| Arc::new(0u64)).unwrap(), 7);
+        assert!(Arc::ptr_eq(&a, &b), "repeat lookups share one object");
+        // More distinct types than any fixed table would hold: each
+        // installs once beside the others, and a repeat lookup returns
+        // the same object.
+        let s = p.extension_or_init(|| Arc::new(String::from("x")));
+        let u32s = p.extension_or_init(|| Arc::new(1u32));
+        let u16s = p.extension_or_init(|| Arc::new(2u16));
+        let u8s = p.extension_or_init(|| Arc::new(3u8));
+        let i8s = p.extension_or_init(|| Arc::new(4i8));
+        let v = p.extension_or_init(|| Arc::new(vec![5i64]));
+        assert_eq!(
+            (s.as_str(), *u32s, *u16s, *u8s, *i8s, v[0]),
+            ("x", 1, 2, 3, 4, 5)
+        );
+        assert!(Arc::ptr_eq(
+            &s,
+            &p.extension_or_init(|| Arc::new(String::new()))
+        ));
+        assert!(Arc::ptr_eq(&u32s, &p.extension_or_init(|| Arc::new(0u32))));
+        assert!(Arc::ptr_eq(&u16s, &p.extension_or_init(|| Arc::new(0u16))));
+        assert!(Arc::ptr_eq(&u8s, &p.extension_or_init(|| Arc::new(0u8))));
+        assert!(Arc::ptr_eq(&i8s, &p.extension_or_init(|| Arc::new(0i8))));
+        assert!(Arc::ptr_eq(
+            &v,
+            &p.extension_or_init(|| Arc::new(Vec::new()))
+        ));
+        assert!(Arc::ptr_eq(&a, &p.extension_or_init(|| Arc::new(0u64))));
+        // Racing first lookups of one type all get the one installed
+        // object.
+        let fresh = &pool(2);
+        let got: Vec<Arc<i32>> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|i| scope.spawn(move || fresh.extension_or_init(move || Arc::new(i))))
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        assert!(got.iter().all(|g| Arc::ptr_eq(g, &got[0])));
     }
 
     #[test]

@@ -67,7 +67,7 @@ cargo run -q --release --offline -p molap-bench --bin bench_pr10 -- \
   --smoke --out target/BENCH_PR10.smoke.json > /dev/null
 
 echo "==> benchmark self-tests (benchmark/ is its own workspace: root cargo test never compiles it)"
-cargo test -q --offline --manifest-path benchmark/Cargo.toml
+cargo test -q --offline --locked --manifest-path benchmark/Cargo.toml
 
 echo "==> benchmark/run.sh --workload q1_warm --seconds 1 (the benchmark still builds against crates/ and verifies its replies)"
 bash benchmark/run.sh --workload q1_warm --seconds 1 > /dev/null
