@@ -460,7 +460,7 @@ impl ChunkedArray {
     pub fn set(&mut self, coords: &[u32], values: &[i64]) -> Result<()> {
         let (chunk_no, offset) = self.shape.locate(coords)?;
         let pre = self.read_chunk(chunk_no)?;
-        match self.apply_chunk_writes(chunk_no, &[(offset, values.to_vec())]) {
+        match self.apply_chunk_writes(chunk_no, &pre, &[(offset, values.to_vec())]) {
             Ok(_) => {
                 self.publish_writes();
                 Ok(())
@@ -478,11 +478,12 @@ impl ChunkedArray {
         }
     }
 
-    /// Applies a batch of cell edits to one chunk: decode once, pin the
-    /// pre-image in the pool's [`VersionTable`] under this handle's
-    /// writer ticket, rewrite the chunk's object once. Returns the
-    /// pre-write measures per edit (aligned with `edits`; `None` for
-    /// inserted cells).
+    /// Applies a batch of cell edits to one chunk: pin its pre-image
+    /// `pre` (the caller's [`ChunkedArray::read_chunk`] of `chunk_no`,
+    /// kept for [`ChunkedArray::restore_chunk`]) in the pool's
+    /// [`VersionTable`] under this handle's writer ticket, then rewrite
+    /// the chunk's object once. Returns the pre-write measures per edit
+    /// (aligned with `edits`; `None` for inserted cells).
     ///
     /// Offsets in `edits` must be unique (callers resolve duplicate
     /// writes last-wins before grouping by chunk). The write is **not
@@ -499,6 +500,7 @@ impl ChunkedArray {
     pub fn apply_chunk_writes(
         &mut self,
         chunk_no: u64,
+        pre: &Arc<CompressedChunk>,
         edits: &[(u32, Vec<i64>)],
     ) -> Result<Vec<Option<Vec<i64>>>> {
         if self.versions.is_poisoned() {
@@ -509,15 +511,14 @@ impl ChunkedArray {
                 return Err(ArrayError::Geometry("measure arity mismatch".into()));
             }
         }
-        let chunk = self.read_chunk(chunk_no)?;
         let olds: Vec<Option<Vec<i64>>> = edits
             .iter()
-            .map(|(off, _)| chunk.probe(*off).map(|v| v.to_vec()))
+            .map(|(off, _)| pre.probe(*off).map(|v| v.to_vec()))
             .collect();
         let mut edited: Vec<u32> = edits.iter().map(|(off, _)| *off).collect();
         edited.sort_unstable();
         let mut b = ChunkBuilder::new(self.n_measures);
-        for (off, v) in chunk.iter() {
+        for (off, v) in pre.iter() {
             if edited.binary_search(&off).is_err() {
                 b.add(off, v);
             }
@@ -536,8 +537,7 @@ impl ChunkedArray {
             .writer
             .get_or_insert_with(|| self.versions.begin_write());
         let key = self.version_key(chunk_no);
-        self.versions
-            .pin_provisional(writer, key, Arc::clone(&chunk));
+        self.versions.pin_provisional(writer, key, Arc::clone(pre));
         if self.lobs.object_len(id)? != 0 {
             self.cache.remove(&self.chunk_key(chunk_no)?);
         }
@@ -1126,9 +1126,13 @@ mod tests {
         let d = p.stats().snapshot().since(&before);
         assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (1, 2));
 
-        // A write invalidates the cached decode; the next read re-decodes
-        // and must see the new value.
+        // A write reads its chunk once (a hit) and invalidates the
+        // cached decode; the next read re-decodes and must see the new
+        // value.
+        let before = p.stats().snapshot();
         a.set(&[2], &[20]).unwrap();
+        let d = p.stats().snapshot().since(&before);
+        assert_eq!((d.chunk_cache_misses, d.chunk_cache_hits), (0, 1));
         let before = p.stats().snapshot();
         let chunk = a.read_chunk(0).unwrap();
         assert_eq!(p.stats().snapshot().since(&before).chunk_cache_misses, 1);
@@ -1239,7 +1243,8 @@ mod tests {
             if !in_place {
                 edits.push((offset + 1, vec![17]));
             }
-            let olds = a.apply_chunk_writes(chunk_no, &edits).unwrap();
+            let pre = a.read_chunk(chunk_no).unwrap();
+            let olds = a.apply_chunk_writes(chunk_no, &pre, &edits).unwrap();
             assert_eq!(olds[0].as_deref(), Some(&old[..]));
             assert!(
                 olds[1..].iter().all(Option::is_none),
@@ -1311,7 +1316,7 @@ mod tests {
         let stale = a.read_chunk(chunk_no).unwrap();
         // The writer pins, drops the cached decode, overwrites in place
         // (an update of an existing cell keeps the byte length).
-        a.apply_chunk_writes(chunk_no, &[(offset, vec![4242])])
+        a.apply_chunk_writes(chunk_no, &stale, &[(offset, vec![4242])])
             .unwrap();
         assert_eq!(a.chunk_key(chunk_no).unwrap(), key, "not in place");
         assert!(cache.get(&key, epoch).is_none());

@@ -277,8 +277,8 @@ pub(crate) fn stage_cells(
             .iter()
             .map(|(&off, (_, values))| (off, values.clone()))
             .collect();
-        // The pre-image, captured for rollback before the rewrite. A
-        // cache hit in the common case (apply re-reads it right after).
+        // The pre-image: read once, rebuilt with the edits by apply,
+        // and kept for rollback.
         let pre = match adt.array().read_chunk(chunk_no) {
             Ok(pre) => pre,
             Err(e) => {
@@ -286,7 +286,7 @@ pub(crate) fn stage_cells(
                 return Err(e.into());
             }
         };
-        match adt.array_mut().apply_chunk_writes(chunk_no, &edits) {
+        match adt.array_mut().apply_chunk_writes(chunk_no, &pre, &edits) {
             Ok(olds) => {
                 let cells_added = olds.iter().filter(|o| o.is_none()).count() as u64;
                 pending.applied.push(AppliedChunk {

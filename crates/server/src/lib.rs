@@ -44,4 +44,4 @@ mod session;
 pub use client::{ClientError, ServerClient};
 pub use metrics::{MetricsSnapshot, ServerMetrics};
 pub use protocol::{ErrorCode, ProtocolError, Request, Response};
-pub use server::{Server, ServerConfig, ServerHandle};
+pub use server::{ExecutionHold, Server, ServerConfig, ServerHandle};

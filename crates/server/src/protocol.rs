@@ -584,6 +584,12 @@ pub(crate) fn decode_result(c: &mut Cursor<'_>) -> Result<ConsolidationResult, P
 }
 
 impl Response {
+    /// An `Error` reply.
+    pub fn error(code: ErrorCode, message: impl Into<String>) -> Response {
+        let message = message.into();
+        Response::Error { code, message }
+    }
+
     /// Encodes into `(frame_type, payload)`.
     pub fn encode(&self) -> (u8, Vec<u8>) {
         match self {

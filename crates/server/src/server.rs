@@ -47,7 +47,8 @@ const _: fn() = || {
     assert_send_sync::<Database>();
 };
 
-/// Tunables for [`Server::start`].
+/// Tunables for [`Server::start`]. Tests hold queries in flight with
+/// [`ServerHandle::hold_execution`].
 #[derive(Clone, Debug)]
 pub struct ServerConfig {
     /// Executor threads draining the query queue.
@@ -57,10 +58,6 @@ pub struct ServerConfig {
     pub queue_capacity: usize,
     /// Deadline granted to each query at admission.
     pub default_deadline: Duration,
-    /// Test hook: extra sleep inside each query execution, to make
-    /// saturation and drain behavior deterministic. Zero in
-    /// production.
-    pub debug_execution_delay: Duration,
 }
 
 impl Default for ServerConfig {
@@ -72,7 +69,6 @@ impl Default for ServerConfig {
                 .min(8),
             queue_capacity: 64,
             default_deadline: Duration::from_secs(30),
-            debug_execution_delay: Duration::ZERO,
         }
     }
 }
@@ -102,6 +98,9 @@ pub(crate) enum AdmissionError {
 struct QueueState {
     jobs: VecDeque<Job>,
     draining: bool,
+    /// An [`ExecutionHold`] is open, and the workers it has parked.
+    held: bool,
+    parked: usize,
 }
 
 /// State shared by the accept loop, sessions, and workers.
@@ -111,6 +110,8 @@ pub(crate) struct Shared {
     config: ServerConfig,
     queue: Mutex<QueueState>,
     queue_cv: Condvar,
+    /// Wakes held workers and [`ExecutionHold::wait_for_jobs`].
+    hold_cv: Condvar,
     /// Concurrent-query coalescing: the key of every admitted but
     /// unfinished query → reply senders of followers that attached
     /// instead of submitting a duplicate. A query sent after a commit
@@ -166,6 +167,9 @@ impl Shared {
             deadline: Instant::now() + self.config.default_deadline,
             reply: tx,
         });
+        if q.held {
+            self.hold_cv.notify_all();
+        }
         drop(q);
         drop(inflight);
         self.queue_cv.notify_one();
@@ -215,10 +219,7 @@ impl Shared {
     /// it with its error.
     pub(crate) fn query_error(&self, err: &molap_core::Error, elapsed: Duration) -> Response {
         self.metrics.query_failed(elapsed);
-        Response::Error {
-            code: error_code_for(err),
-            message: err.to_string(),
-        }
+        Response::error(error_code_for(err), err.to_string())
     }
 
     /// Executes a Write request on the session thread: the database's
@@ -228,10 +229,8 @@ impl Shared {
     /// reads the batch's generation.
     pub(crate) fn execute_write(&self, object: &str, rows: &[(Vec<i64>, Vec<i64>)]) -> Response {
         if self.is_draining() {
-            return Response::Error {
-                code: ErrorCode::ShuttingDown,
-                message: "server is draining; no new writes accepted".into(),
-            };
+            let message = "server is draining; no new writes accepted";
+            return Response::error(ErrorCode::ShuttingDown, message);
         }
         let mut batch = molap_core::WriteBatch::new();
         for (keys, values) in rows {
@@ -244,31 +243,18 @@ impl Shared {
             Ok(Ok(receipt)) => Response::WriteAck {
                 cells_written: receipt.cells_written,
             },
-            Ok(Err(err)) => Response::Error {
-                code: error_code_for(&err),
-                message: err.to_string(),
-            },
-            Err(panic) => {
-                let detail = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "write execution panicked".into());
-                Response::Error {
-                    code: ErrorCode::Internal,
-                    message: detail,
-                }
-            }
+            Ok(Err(err)) => Response::error(error_code_for(&err), err.to_string()),
+            Err(panic) => panic_response(panic, "write execution panicked"),
         }
     }
 
     fn worker_loop(&self) {
         loop {
-            let job = {
+            let (job, held) = {
                 let mut q = self.queue.lock();
                 loop {
                     if let Some(job) = q.jobs.pop_front() {
-                        break job;
+                        break (job, q.held);
                     }
                     if q.draining {
                         return;
@@ -276,12 +262,12 @@ impl Shared {
                     self.queue_cv.wait(&mut q);
                 }
             };
-            self.run_job(job);
+            self.run_job(job, held);
         }
     }
 
-    fn run_job(&self, job: Job) {
-        let response = self.execute_job(job.prepared, job.deadline);
+    fn run_job(&self, job: Job, held: bool) {
+        let response = self.execute_job(job.prepared, job.deadline, held);
         // Close the coalescing entry *before* delivering: once removed,
         // the next identical submission starts a fresh execution, and
         // every follower captured here gets this response. Attach and
@@ -293,17 +279,23 @@ impl Shared {
         let _ = job.reply.send(response);
     }
 
-    fn execute_job(&self, prepared: Prepared, deadline: Instant) -> Response {
+    /// Runs a dequeued query. If an [`ExecutionHold`] was open at
+    /// dequeue (`held`), the worker parks after the queue-wait check.
+    fn execute_job(&self, prepared: Prepared, deadline: Instant, held: bool) -> Response {
         if Instant::now() > deadline {
             self.metrics.deadline_exceeded.inc();
-            return Response::Error {
-                code: ErrorCode::DeadlineExceeded,
-                message: "query spent its deadline waiting in the admission queue".into(),
-            };
+            let message = "query spent its deadline waiting in the admission queue";
+            return Response::error(ErrorCode::DeadlineExceeded, message);
         }
         let started = Instant::now();
-        if !self.config.debug_execution_delay.is_zero() {
-            std::thread::sleep(self.config.debug_execution_delay);
+        if held {
+            let mut q = self.queue.lock();
+            q.parked += 1;
+            self.hold_cv.notify_all();
+            while q.held {
+                self.hold_cv.wait(&mut q);
+            }
+            q.parked -= 1;
         }
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| prepared.execute()));
         let elapsed = started.elapsed();
@@ -311,10 +303,8 @@ impl Shared {
             Ok(Ok(result)) => {
                 if Instant::now() > deadline {
                     self.metrics.deadline_exceeded.inc();
-                    Response::Error {
-                        code: ErrorCode::DeadlineExceeded,
-                        message: format!("query ran for {elapsed:?}, past its deadline"),
-                    }
+                    let message = format!("query ran for {elapsed:?}, past its deadline");
+                    Response::error(ErrorCode::DeadlineExceeded, message)
                 } else {
                     self.metrics.query_ok(elapsed);
                     Response::ResultSet(result)
@@ -323,18 +313,21 @@ impl Shared {
             Ok(Err(err)) => self.query_error(&err, elapsed),
             Err(panic) => {
                 self.metrics.query_failed(elapsed);
-                let detail = panic
-                    .downcast_ref::<&str>()
-                    .map(|s| s.to_string())
-                    .or_else(|| panic.downcast_ref::<String>().cloned())
-                    .unwrap_or_else(|| "query execution panicked".into());
-                Response::Error {
-                    code: ErrorCode::Internal,
-                    message: detail,
-                }
+                panic_response(panic, "query execution panicked")
             }
         }
     }
+}
+
+/// The `INTERNAL` error answering a caught panic: its message, else
+/// `fallback`.
+fn panic_response(panic: Box<dyn std::any::Any + Send>, fallback: &str) -> Response {
+    let message = panic
+        .downcast_ref::<&str>()
+        .map(|s| s.to_string())
+        .or_else(|| panic.downcast_ref::<String>().cloned())
+        .unwrap_or_else(|| fallback.into());
+    Response::error(ErrorCode::Internal, message)
 }
 
 /// The running query service.
@@ -357,8 +350,11 @@ impl Server {
             queue: Mutex::new(QueueState {
                 jobs: VecDeque::new(),
                 draining: false,
+                held: false,
+                parked: 0,
             }),
             queue_cv: Condvar::new(),
+            hold_cv: Condvar::new(),
             inflight: Mutex::new(HashMap::new()),
             sessions: Mutex::new(HashMap::new()),
             next_session_id: AtomicU64::new(1),
@@ -398,13 +394,7 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, workers: Vec<JoinHandle
         if shared.is_draining() {
             break;
         }
-        let stream = match incoming {
-            Ok(s) => s,
-            Err(_) => continue,
-        };
-        if shared.is_draining() {
-            break;
-        }
+        let Ok(stream) = incoming else { continue };
         let shared2 = shared.clone();
         let spawned = std::thread::Builder::new()
             .name("molap-session".into())
@@ -452,7 +442,8 @@ fn supervise(listener: TcpListener, shared: Arc<Shared>, workers: Vec<JoinHandle
     shared.stopped.store(true, Ordering::SeqCst);
 }
 
-/// Owner's handle to a running [`Server`].
+/// Owner's handle to a running [`Server`]; tests also order queries
+/// with its [`ServerHandle::hold_execution`].
 pub struct ServerHandle {
     shared: Arc<Shared>,
     supervisor: Mutex<Option<JoinHandle<()>>>,
@@ -473,6 +464,16 @@ impl ServerHandle {
     /// True once the server has fully stopped.
     pub fn is_stopped(&self) -> bool {
         self.shared.stopped.load(Ordering::SeqCst)
+    }
+
+    /// Opens an [`ExecutionHold`]. Only queries dequeued while it is
+    /// open park; one hold at a time. Drop it before [`Self::wait`] or
+    /// [`Self::shutdown`]: a drain waits for the parked queries.
+    pub fn hold_execution(&self) -> ExecutionHold<'_> {
+        let mut q = self.shared.queue.lock();
+        assert!(!q.held, "an execution hold is already open");
+        q.held = true;
+        ExecutionHold { handle: self }
     }
 
     /// Begins a graceful shutdown without waiting for it to finish.
@@ -499,5 +500,38 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.shutdown();
+    }
+}
+
+/// An event gate on query execution for tests: while open, each worker
+/// parks after a dequeued query passes its queue-wait deadline check,
+/// before executing it. Dropping the hold releases them.
+pub struct ExecutionHold<'a> {
+    handle: &'a ServerHandle,
+}
+
+impl ExecutionHold<'_> {
+    /// Blocks until exactly `parked` queries are parked and `queued`
+    /// wait in the admission queue. Panics after a minute without
+    /// progress instead of hanging a test.
+    pub fn wait_for_jobs(&self, parked: usize, queued: usize) {
+        let shared = &self.handle.shared;
+        let mut q = shared.queue.lock();
+        while (q.parked, q.jobs.len()) != (parked, queued) {
+            let stuck = shared.hold_cv.wait_for(&mut q, Duration::from_secs(60));
+            assert!(
+                !stuck,
+                "stuck at {} parked, {} queued",
+                q.parked,
+                q.jobs.len()
+            );
+        }
+    }
+}
+
+impl Drop for ExecutionHold<'_> {
+    fn drop(&mut self) {
+        self.handle.shared.queue.lock().held = false;
+        self.handle.shared.hold_cv.notify_all();
     }
 }

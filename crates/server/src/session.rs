@@ -7,8 +7,8 @@
 //! here, then goes through the admission queue so the worker pool
 //! bounds database concurrency; `Write` runs on the session thread
 //! (the database's commit lock serializes writers) and acks only after
-//! the batch is durable; `Shutdown` acknowledges and then trips the
-//! server into draining.
+//! the batch is durable; `Shutdown` trips the server into draining and
+//! then acknowledges.
 
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -48,40 +48,20 @@ fn serve(stream: &TcpStream, shared: &Shared) {
                     ProtocolError::UnsupportedVersion(_) => ErrorCode::UnsupportedVersion,
                     _ => ErrorCode::MalformedFrame,
                 };
-                send(
-                    shared,
-                    &mut writer,
-                    Response::Error {
-                        code,
-                        message: err.to_string(),
-                    },
-                );
+                send(shared, &mut writer, Response::error(code, err.to_string()));
                 return;
             }
         };
         let request = match Request::decode(frame_type, &payload) {
             Ok(req) => req,
             Err(err) => {
-                send(
-                    shared,
-                    &mut writer,
-                    Response::Error {
-                        code: ErrorCode::MalformedFrame,
-                        message: err.to_string(),
-                    },
-                );
+                let response = Response::error(ErrorCode::MalformedFrame, err.to_string());
+                send(shared, &mut writer, response);
                 return;
             }
         };
-        let response = handle(shared, request);
-        let shutting_down = matches!(response, Response::ShutdownStarted);
-        if !send(shared, &mut writer, response) {
+        if !send(shared, &mut writer, handle(shared, request)) {
             return;
-        }
-        if shutting_down {
-            // Acknowledge first, then trip the drain: the supervisor
-            // will close this socket once in-flight queries finish.
-            shared.begin_shutdown();
         }
     }
 }
@@ -98,18 +78,18 @@ fn handle(shared: &Shared, request: Request) -> Response {
                 Err(err) => return shared.query_error(&err, started.elapsed()),
             };
             match shared.try_submit(prepared) {
-                Ok(reply) => reply.recv().unwrap_or(Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "worker dropped the query without replying".into(),
+                Ok(reply) => reply.recv().unwrap_or_else(|_| {
+                    let message = "worker dropped the query without replying";
+                    Response::error(ErrorCode::Internal, message)
                 }),
-                Err(AdmissionError::Busy) => Response::Error {
-                    code: ErrorCode::ServerBusy,
-                    message: "admission queue is full; retry with backoff".into(),
-                },
-                Err(AdmissionError::ShuttingDown) => Response::Error {
-                    code: ErrorCode::ShuttingDown,
-                    message: "server is draining; no new queries accepted".into(),
-                },
+                Err(AdmissionError::Busy) => {
+                    let message = "admission queue is full; retry with backoff";
+                    Response::error(ErrorCode::ServerBusy, message)
+                }
+                Err(AdmissionError::ShuttingDown) => {
+                    let message = "server is draining; no new queries accepted";
+                    Response::error(ErrorCode::ShuttingDown, message)
+                }
             }
         }
         Request::Ping => Response::Pong,
@@ -122,7 +102,13 @@ fn handle(shared: &Shared, request: Request) -> Response {
                 .map(|(name, kind)| (name, format!("{kind:?}")))
                 .collect(),
         ),
-        Request::Shutdown => Response::ShutdownStarted,
+        Request::Shutdown => {
+            // Trip the drain, then acknowledge: an acked client knows
+            // new work is refused. The supervisor closes this socket
+            // once in-flight queries finish.
+            shared.begin_shutdown();
+            Response::ShutdownStarted
+        }
         Request::Write { object, rows } => shared.execute_write(&object, &rows),
     }
 }

@@ -3,13 +3,12 @@
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use molap_array::ChunkFormat;
 use molap_core::{ConsolidationResult, Database, OlapArray, StarSchema};
 use molap_datagen::{generate, AttrLayout, CubeSpec};
-use molap_server::{ClientError, ErrorCode, Server, ServerClient, ServerConfig, ServerHandle};
+use molap_server::{ClientError, ErrorCode, Server, ServerClient, ServerConfig};
 
 static NEXT_DB: AtomicUsize = AtomicUsize::new(0);
 
@@ -19,6 +18,25 @@ fn temp_db_path(tag: &str) -> PathBuf {
         "molap-server-e2e-{}-{tag}-{n}.db",
         std::process::id()
     ))
+}
+
+fn config(workers: usize, queue_capacity: usize, default_deadline: Duration) -> ServerConfig {
+    ServerConfig {
+        workers,
+        queue_capacity,
+        default_deadline,
+    }
+}
+
+/// Spins until `done()` holds, or fails instead of hanging. For what an
+/// `ExecutionHold` does not count (coalesced followers) and for the
+/// deadline tests, whose subject is the clock itself.
+fn wait_until(what: &str, done: impl Fn() -> bool) {
+    let give_up = Instant::now() + Duration::from_secs(60);
+    while !done() {
+        assert!(Instant::now() < give_up, "timed out waiting until {what}");
+        std::thread::yield_now();
+    }
 }
 
 fn remove_db(path: &PathBuf) {
@@ -159,13 +177,7 @@ fn query_errors_keep_the_session_alive() {
 fn saturated_queue_yields_server_busy_not_a_hang() {
     let path = temp_db_path("busy");
     let db = build_db(&path);
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        default_deadline: Duration::from_secs(30),
-        debug_execution_delay: Duration::from_millis(200),
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 1, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
     // Eight *distinct* statements: identical ones would coalesce onto
@@ -180,92 +192,103 @@ fn saturated_queue_yields_server_busy_not_a_hang() {
         "SELECT SUM(volume), dim2.h22 FROM sales GROUP BY dim2.h22",
         "SELECT SUM(volume), dim0.h01, dim1.h11 FROM sales GROUP BY dim0.h01, dim1.h11",
     ];
-    const CLIENTS: usize = 8;
-    let barrier = Barrier::new(CLIENTS);
-    let ok = AtomicUsize::new(0);
-    let busy = AtomicUsize::new(0);
     std::thread::scope(|scope| {
-        for sql in DISTINCT {
-            scope.spawn(|| {
-                let mut client = ServerClient::connect(addr).unwrap();
-                barrier.wait();
-                match client.query(sql) {
-                    Ok(result) => {
-                        assert!(!result.rows().is_empty());
-                        ok.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Err(e) => {
-                        assert_eq!(e.server_code(), Some(ErrorCode::ServerBusy), "{e}");
-                        busy.fetch_add(1, Ordering::Relaxed);
-                    }
-                }
-            });
+        let hold = handle.hold_execution();
+        // One query parks on the worker, a second fills the one slot.
+        let parked = scope.spawn(|| ServerClient::connect(addr).unwrap().query(DISTINCT[0]));
+        hold.wait_for_jobs(1, 0);
+        let queued = scope.spawn(|| ServerClient::connect(addr).unwrap().query(DISTINCT[1]));
+        hold.wait_for_jobs(1, 1);
+        // Every other statement bounces at once.
+        let mut client = ServerClient::connect(addr).unwrap();
+        for sql in &DISTINCT[2..] {
+            let err = client.query(sql).unwrap_err();
+            assert_eq!(err.server_code(), Some(ErrorCode::ServerBusy), "{err}");
+        }
+        drop(hold);
+        for admitted in [parked, queued] {
+            assert!(!admitted.join().unwrap().unwrap().rows().is_empty());
         }
     });
-    let (ok, busy) = (ok.load(Ordering::Relaxed), busy.load(Ordering::Relaxed));
-    assert_eq!(ok + busy, CLIENTS);
-    assert!(
-        ok >= 1,
-        "at least the admitted queries must finish (ok={ok})"
-    );
-    assert!(
-        busy >= 1,
-        "with 1 worker and queue depth 1, 8 simultaneous queries must bounce (busy={busy})"
-    );
-    assert_eq!(handle.metrics().queries_rejected, busy as u64);
+    let stats = handle.metrics();
+    assert_eq!((stats.queries_ok, stats.queries_rejected), (2, 6));
 
     handle.shutdown();
     remove_db(&path);
+}
+
+/// The deadline of the tests that do not test deadlines.
+const LONG_DEADLINE: Duration = Duration::from_secs(30);
+
+/// The deadline of the deadline tests: ample for an idle worker to
+/// dequeue a query, then waited out on the clock while the hold is on.
+const SHORT_DEADLINE: Duration = Duration::from_millis(250);
+
+/// Waits until a query admitted before this call has passed its
+/// [`SHORT_DEADLINE`].
+fn wait_out_short_deadline() {
+    let passed = Instant::now() + SHORT_DEADLINE;
+    wait_until("the deadline passed", || Instant::now() > passed);
 }
 
 #[test]
 fn slow_queries_hit_their_deadline() {
     let path = temp_db_path("deadline");
     let db = build_db(&path);
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 8,
-        default_deadline: Duration::from_millis(20),
-        debug_execution_delay: Duration::from_millis(150),
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 8, SHORT_DEADLINE)).unwrap();
+    let addr = handle.local_addr();
 
-    let mut client = ServerClient::connect(handle.local_addr()).unwrap();
-    let err = client.query("SELECT SUM(volume) FROM sales").unwrap_err();
-    assert_eq!(
-        err.server_code(),
-        Some(ErrorCode::DeadlineExceeded),
-        "{err}"
-    );
+    std::thread::scope(|scope| {
+        let hold = handle.hold_execution();
+        let query = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[0]));
+        // Parked past the queue-wait check: it runs past its deadline.
+        hold.wait_for_jobs(1, 0);
+        wait_out_short_deadline();
+        drop(hold);
+        let err = query.join().unwrap().unwrap_err();
+        assert_eq!(err.server_code(), Some(ErrorCode::DeadlineExceeded));
+        assert!(err.to_string().contains("past its deadline"), "{err}");
+    });
     assert_eq!(handle.metrics().deadline_exceeded, 1);
 
     handle.shutdown();
     remove_db(&path);
 }
 
-/// How long an admitted query sleeps on its worker in the drain tests.
-const DRAIN_EXECUTION_DELAY: Duration = Duration::from_millis(1000);
+#[test]
+fn queries_that_wait_out_their_deadline_in_the_queue_do_not_run() {
+    let path = temp_db_path("queue-deadline");
+    let db = build_db(&path);
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 8, SHORT_DEADLINE)).unwrap();
+    let addr = handle.local_addr();
 
-/// Blocks until the `clients` identical queries just sent are in
-/// flight. A pair leaves outside evidence: the server coalesces the
-/// second onto the first only when the first was admitted and has not
-/// finished, so the wait is on `queries_coalesced`. A lone query leaves
-/// none before it finishes, so it gets half the execution delay as a
-/// head start (connect + accept + prepare have been seen to take
-/// 240 ms while the suite's other servers keep both cores busy).
-fn wait_until_in_flight(handle: &ServerHandle, clients: usize) {
-    if clients == 1 {
-        std::thread::sleep(DRAIN_EXECUTION_DELAY / 2);
-        return;
-    }
-    let deadline = std::time::Instant::now() + Duration::from_secs(20);
-    while handle.metrics().queries_coalesced == 0 {
-        assert!(
-            std::time::Instant::now() < deadline,
-            "the in-flight queries never coalesced"
+    std::thread::scope(|scope| {
+        let hold = handle.hold_execution();
+        // A parks on the one worker; B waits in the queue until both
+        // deadlines have passed.
+        let a = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[0]));
+        hold.wait_for_jobs(1, 0);
+        let b = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[1]));
+        hold.wait_for_jobs(1, 1);
+        wait_out_short_deadline();
+        drop(hold);
+        let (ran, queued) = (
+            a.join().unwrap().unwrap_err(),
+            b.join().unwrap().unwrap_err(),
         );
-        std::thread::sleep(Duration::from_millis(2));
-    }
+        assert!(ran.to_string().contains("past its deadline"), "{ran}");
+        assert_eq!(queued.server_code(), Some(ErrorCode::DeadlineExceeded));
+        let queued = queued.to_string();
+        assert!(
+            queued.contains("waiting in the admission queue"),
+            "{queued}"
+        );
+    });
+    let stats = handle.metrics();
+    assert_eq!((stats.deadline_exceeded, stats.queries_ok), (2, 0));
+
+    handle.shutdown();
+    remove_db(&path);
 }
 
 #[test]
@@ -280,29 +303,22 @@ fn drain_in_flight_queries(clients: usize) {
     let path = temp_db_path("drain");
     let db = build_db(&path);
     let expected = db.sql(QUERIES[1], &["volume"]).unwrap();
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 8,
-        default_deadline: Duration::from_secs(30),
-        debug_execution_delay: DRAIN_EXECUTION_DELAY,
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 8, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
+        let hold = handle.hold_execution();
         let in_flight: Vec<_> = (0..clients)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut client = ServerClient::connect(addr).unwrap();
-                    client.query(QUERIES[1])
-                })
-            })
+            .map(|_| scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[1])))
             .collect();
-        // Once the in-flight queries have reached a worker, ask for
-        // shutdown from another connection.
-        wait_until_in_flight(&handle, clients);
+        hold.wait_for_jobs(1, 0);
+        let coalesced = || handle.metrics().queries_coalesced == clients as u64 - 1;
+        wait_until("the queries coalesced", coalesced);
+        // Ask for shutdown from another connection while the queries
+        // are held (the ack means the drain has begun), then release.
         let mut admin = ServerClient::connect(addr).unwrap();
         admin.shutdown_server().unwrap();
+        drop(hold);
 
         // The in-flight queries still complete with a full result.
         for query in in_flight {
@@ -336,25 +352,17 @@ fn queries_refused_while_draining() {
 fn refuse_while_draining(clients: usize) {
     let path = temp_db_path("refuse");
     let db = build_db(&path);
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 8,
-        default_deadline: Duration::from_secs(30),
-        debug_execution_delay: DRAIN_EXECUTION_DELAY,
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 8, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
+        let hold = handle.hold_execution();
         let occupiers: Vec<_> = (0..clients)
-            .map(|_| {
-                scope.spawn(|| {
-                    let mut client = ServerClient::connect(addr).unwrap();
-                    client.query("SELECT SUM(volume) FROM sales")
-                })
-            })
+            .map(|_| scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[0])))
             .collect();
-        wait_until_in_flight(&handle, clients);
+        hold.wait_for_jobs(1, 0);
+        let coalesced = || handle.metrics().queries_coalesced == clients as u64 - 1;
+        wait_until("the queries coalesced", coalesced);
         // Connect *before* the drain begins so the session exists.
         let mut straggler = ServerClient::connect(addr).unwrap();
         handle.begin_shutdown();
@@ -369,6 +377,7 @@ fn refuse_while_draining(clients: usize) {
             }
             Ok(_) => panic!("query during drain should have been refused"),
         }
+        drop(hold);
         for occupier in occupiers {
             let drained = occupier.join().unwrap();
             assert!(
@@ -391,36 +400,30 @@ fn identical_concurrent_queries_coalesce_and_writes_patch_cubes() {
     // Keep a writer handle on the same buffer pool before the server
     // takes ownership of the database.
     let mut writer = db.open_olap_array("sales").unwrap();
-    let config = ServerConfig {
-        workers: 2,
-        queue_capacity: 32,
-        default_deadline: Duration::from_secs(30),
-        // Long enough that all sixteen clients pile onto the one
-        // in-flight execution.
-        debug_execution_delay: Duration::from_millis(400),
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(2, 32, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
+    // Holds one leader until the whole herd has attached to it.
     const HERD: usize = 16;
-    let run_herd = || -> Vec<ConsolidationResult> {
-        let barrier = Barrier::new(HERD);
+    let run_herd = |round: u64| -> Vec<ConsolidationResult> {
         std::thread::scope(|scope| {
+            let hold = handle.hold_execution();
             let threads: Vec<_> = (0..HERD)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut client = ServerClient::connect(addr).unwrap();
-                        barrier.wait();
-                        client.query(SQL).unwrap()
-                    })
-                })
+                .map(|_| scope.spawn(|| ServerClient::connect(addr).unwrap().query(SQL)))
                 .collect();
-            threads.into_iter().map(|t| t.join().unwrap()).collect()
+            hold.wait_for_jobs(1, 0);
+            let coalesced = || handle.metrics().queries_coalesced == round * (HERD as u64 - 1);
+            wait_until("the herd coalesced", coalesced);
+            drop(hold);
+            threads
+                .into_iter()
+                .map(|t| t.join().unwrap().unwrap())
+                .collect()
         })
     };
 
     // Round 1: one leader executes, fifteen followers attach.
-    let round1 = run_herd();
+    let round1 = run_herd(1);
     for got in &round1 {
         assert_eq!(got, &expected, "coalesced responses must be identical");
     }
@@ -441,7 +444,7 @@ fn identical_concurrent_queries_coalesce_and_writes_patch_cubes() {
 
     // Round 2: the herd coalesces again, and the leader answers from
     // the patched cube — no recompute, yet the write is visible.
-    let round2 = run_herd();
+    let round2 = run_herd(2);
     let first = &round2[0];
     for got in &round2 {
         assert_eq!(got, first, "coalesced responses must be identical");
@@ -483,28 +486,26 @@ fn a_query_answers_as_of_its_admission() {
     let db = build_db(&path);
     // A writer handle on the server's buffer pool.
     let mut writer = db.open_olap_array("sales").unwrap();
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 8,
-        default_deadline: Duration::from_secs(30),
-        debug_execution_delay: DRAIN_EXECUTION_DELAY,
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(2, 8, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
+        let hold = handle.hold_execution();
         let a = scope.spawn(|| ServerClient::connect(addr).unwrap().query(SQL));
-        // A is admitted and sleeping on the worker; commit a write that
-        // no server write sees, then send the same statement again.
-        wait_until_in_flight(&handle, 1);
+        // A is admitted and parked; commit a write that no server write
+        // sees, then send the same statement again. B parks on the
+        // second worker: it did not attach to A.
+        hold.wait_for_jobs(1, 0);
         writer.set_by_keys(&keys, &written).unwrap();
-        let b = ServerClient::connect(addr).unwrap().query(SQL).unwrap();
+        let b = scope.spawn(|| ServerClient::connect(addr).unwrap().query(SQL));
+        hold.wait_for_jobs(2, 0);
+        drop(hold);
         assert_eq!(
             a.join().unwrap().unwrap(),
             pre_write,
             "A reads as of its admission"
         );
-        assert_eq!(b, post_write, "B reads the write");
+        assert_eq!(b.join().unwrap().unwrap(), post_write, "B reads the write");
     });
     let stats = handle.metrics();
     assert_eq!(
@@ -521,21 +522,16 @@ fn a_query_answers_as_of_its_admission() {
 fn a_statement_that_does_not_prepare_takes_no_queue_slot() {
     let path = temp_db_path("unprepared");
     let db = build_db(&path);
-    let config = ServerConfig {
-        workers: 1,
-        queue_capacity: 1,
-        default_deadline: Duration::from_secs(30),
-        debug_execution_delay: DRAIN_EXECUTION_DELAY,
-    };
-    let handle = Server::start(db, "127.0.0.1:0", config).unwrap();
+    let handle = Server::start(db, "127.0.0.1:0", config(1, 1, LONG_DEADLINE)).unwrap();
     let addr = handle.local_addr();
 
     std::thread::scope(|scope| {
-        // One query busies the worker; a distinct one holds the slot.
+        let hold = handle.hold_execution();
+        // One query parks on the worker; a distinct one holds the slot.
         let busy = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[0]));
-        wait_until_in_flight(&handle, 1);
+        hold.wait_for_jobs(1, 0);
         let queued = scope.spawn(|| ServerClient::connect(addr).unwrap().query(QUERIES[1]));
-        std::thread::sleep(DRAIN_EXECUTION_DELAY / 5);
+        hold.wait_for_jobs(1, 1);
 
         let mut client = ServerClient::connect(addr).unwrap();
         let err = client.query("SELECT bogus").unwrap_err();
@@ -544,6 +540,7 @@ fn a_statement_that_does_not_prepare_takes_no_queue_slot() {
         assert_eq!(stats.queries_failed, 1, "{stats:?}");
         assert_eq!(stats.queries_rejected, 0, "{stats:?}");
 
+        drop(hold);
         assert!(busy.join().unwrap().is_ok());
         assert!(queued.join().unwrap().is_ok());
     });

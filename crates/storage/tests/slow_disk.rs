@@ -2,34 +2,80 @@
 //! fault-in I/O is slow must not block a concurrent *hit* on another
 //! page. The pre-sharding pool serviced faults while holding the global
 //! pool mutex, so one slow disk read stalled every session.
+//!
+//! "Slow" is an event, not a delay: every page read parks inside
+//! [`GatedDisk::read_page`] until the test opens the gate.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Condvar, Mutex};
+use std::time::Duration;
 
 use molap_storage::{BufferPool, DiskManager, MemDisk, PageBuf, PageId, Result};
 
-/// Delegates to a [`MemDisk`], injecting latency into every page read.
-struct SlowDisk {
+/// How long a wait here lasts before it gives up, so that a regression
+/// fails the test instead of hanging it.
+const TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Delegates to a [`MemDisk`], holding every page read until the gate
+/// opens.
+struct GatedDisk {
     inner: MemDisk,
-    read_delay: Duration,
     reads: AtomicU64,
+    gate: Mutex<Gate>,
+    changed: Condvar,
 }
 
-impl SlowDisk {
-    fn new(read_delay: Duration) -> Self {
-        SlowDisk {
+#[derive(Default)]
+struct Gate {
+    open: bool,
+    /// Reads inside `read_page`, waiting for the gate.
+    parked: usize,
+}
+
+impl GatedDisk {
+    fn new() -> Self {
+        GatedDisk {
             inner: MemDisk::new(),
-            read_delay,
             reads: AtomicU64::new(0),
+            gate: Mutex::new(Gate::default()),
+            changed: Condvar::new(),
         }
+    }
+
+    /// Waits until `n` reads are parked at once; false on timeout.
+    fn wait_parked(&self, n: usize) -> bool {
+        let gate = self.gate.lock().unwrap();
+        let (_gate, waited) = self
+            .changed
+            .wait_timeout_while(gate, TIMEOUT, |g| g.parked < n)
+            .unwrap();
+        !waited.timed_out()
+    }
+
+    fn parked(&self) -> usize {
+        self.gate.lock().unwrap().parked
+    }
+
+    fn set_open(&self, open: bool) {
+        self.gate.lock().unwrap().open = open;
+        self.changed.notify_all();
     }
 }
 
-impl DiskManager for SlowDisk {
+impl DiskManager for GatedDisk {
     fn read_page(&self, pid: PageId, buf: &mut PageBuf) -> Result<()> {
         self.reads.fetch_add(1, Ordering::Relaxed);
-        std::thread::sleep(self.read_delay);
+        let mut gate = self.gate.lock().unwrap();
+        gate.parked += 1;
+        self.changed.notify_all();
+        // A read that is never released proceeds after the timeout; the
+        // test then sees it no longer parked and fails.
+        let (mut gate, _) = self
+            .changed
+            .wait_timeout_while(gate, TIMEOUT, |g| !g.open)
+            .unwrap();
+        gate.parked -= 1;
+        drop(gate);
         self.inner.read_page(pid, buf)
     }
 
@@ -52,9 +98,7 @@ impl DiskManager for SlowDisk {
 
 #[test]
 fn slow_miss_does_not_block_concurrent_hits() {
-    const READ_DELAY: Duration = Duration::from_millis(250);
-
-    let disk = Arc::new(SlowDisk::new(READ_DELAY));
+    let disk = Arc::new(GatedDisk::new());
     let pool = Arc::new(BufferPool::new(disk.clone(), 64));
     let base = pool.allocate_pages(2).unwrap();
     let (miss_page, hit_page) = (base, base.offset(1));
@@ -68,13 +112,13 @@ fn slow_miss_does_not_block_concurrent_hits() {
         p[0] = 2;
     }
     pool.clear().unwrap(); // both cold now
+    disk.set_open(true);
     drop(pool.fetch(hit_page).unwrap()); // re-warm only the hit page
+    disk.set_open(false);
     let reads_before = disk.reads.load(Ordering::Relaxed);
 
-    // Thread A faults `miss_page` (slow read). After giving it time to
-    // enter the fault, the main thread's hits on `hit_page` must finish
-    // long before the fault does.
-    let fault_started = Instant::now();
+    // Thread A faults `miss_page` and parks in the disk read. The main
+    // thread's hits on `hit_page` must all finish while it is parked.
     let faulter = {
         let pool = pool.clone();
         std::thread::spawn(move || {
@@ -82,42 +126,34 @@ fn slow_miss_does_not_block_concurrent_hits() {
             assert_eq!(page[0], 1);
         })
     };
-    std::thread::sleep(READ_DELAY / 5); // let the faulter reach the disk read
+    assert!(disk.wait_parked(1), "the fault never reached the disk");
 
-    let hit_started = Instant::now();
     for _ in 0..10 {
         let page = pool.fetch(hit_page).unwrap();
         assert_eq!(page[0], 2);
     }
-    let hit_elapsed = hit_started.elapsed();
+    let parked_after_hits = disk.parked();
 
+    disk.set_open(true);
     faulter.join().unwrap();
-    let fault_elapsed = fault_started.elapsed();
 
+    assert_eq!(
+        parked_after_hits, 1,
+        "hits on another page waited for the slow fault to finish"
+    );
     assert_eq!(
         disk.reads.load(Ordering::Relaxed),
         reads_before + 1,
         "exactly the one slow fault should have touched the disk"
-    );
-    assert!(
-        fault_elapsed >= READ_DELAY,
-        "fault must have paid the injected latency ({fault_elapsed:?})"
-    );
-    assert!(
-        hit_elapsed < READ_DELAY / 2,
-        "hits on another page stalled behind a slow miss: {hit_elapsed:?}"
     );
 }
 
 #[test]
 fn concurrent_misses_on_different_pages_overlap() {
     // Four cold pages faulted by four threads: if faults serialized on
-    // a pool-wide lock the total would be ≥ 4 × delay; overlapping
-    // faults finish in a little over one delay.
-    const READ_DELAY: Duration = Duration::from_millis(150);
-
-    let disk = Arc::new(SlowDisk::new(READ_DELAY));
-    let pool = Arc::new(BufferPool::new(disk, 64));
+    // a pool-wide lock, only one would ever be inside the disk read.
+    let disk = Arc::new(GatedDisk::new());
+    let pool = Arc::new(BufferPool::new(disk.clone(), 64));
     let base = pool.allocate_pages(4).unwrap();
     for i in 0..4 {
         let mut p = pool.create_page(base.offset(i)).unwrap();
@@ -125,7 +161,6 @@ fn concurrent_misses_on_different_pages_overlap() {
     }
     pool.clear().unwrap();
 
-    let started = Instant::now();
     let handles: Vec<_> = (0..4)
         .map(|i| {
             let pool = pool.clone();
@@ -135,12 +170,14 @@ fn concurrent_misses_on_different_pages_overlap() {
             })
         })
         .collect();
+    let all_inside = disk.wait_parked(4);
+    let parked = disk.parked();
+    disk.set_open(true);
     for h in handles {
         h.join().unwrap();
     }
-    let elapsed = started.elapsed();
     assert!(
-        elapsed < READ_DELAY * 3,
-        "4 faults took {elapsed:?}; they serialized instead of overlapping"
+        all_inside,
+        "only {parked} of 4 faults were inside the disk read at once; they serialized"
     );
 }

@@ -10,8 +10,9 @@ cargo build --release --offline
 echo "==> cargo test -q"
 cargo test -q --offline
 
-echo "==> cargo test -q --workspace"
-cargo test -q --workspace --offline
+echo "==> cargo test -q: the workspace members outside default-members (benches, vendored shims)"
+cargo test -q --offline -p molap-bench \
+  -p criterion -p crossbeam -p parking_lot -p proptest -p rand
 
 echo "==> cargo clippy --workspace -- -D warnings"
 cargo clippy --workspace --all-targets --offline -- -D warnings
